@@ -9,42 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .coloring import ListSystem, l_colorable, lists_from_json, lists_to_json
 from .dichotomy import classify, describe
 from .families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from .graphs import Graph, Graph6Error, Pattern, parse_graph6, write_graph6
 from .obstructions import is_4_vertex_critical, obstruction_report
-from .propagation import (
-    MAX_ENUM_LENGTH,
-    P6_REFERENCE_COUNTS,
-    enumerate_propagation_paths,
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options for one invocation."""
-
-    command: str
-    forbidden: tuple[str, ...] = ()
-    max_n: int = 25
-    jobs: int = 1
-    emit: str | None = None
-    graph: str | None = None
-    lists: str | None = None
-    name: str | None = None
-    r: int = 1
-    pattern: str | None = None
-    fmt: str = "table"
-    verify: bool = False
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {self.jobs}")
-        if not 0 <= self.max_n <= MAX_ENUM_LENGTH:
-            raise ValueError(f"--max-n must be between 0 and {MAX_ENUM_LENGTH}, got {self.max_n}")
+from .propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
 
 class _UsageError(Exception):
@@ -80,22 +51,21 @@ def _load_lists(path: str, n: int) -> ListSystem:
     return lists
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    try:
-        patterns = [Pattern.parse(name) for name in cfg.forbidden]
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    # Bad pattern names, --max-n outside 0..MAX_ENUM_LENGTH and --jobs below 1
+    # raise ValueError, which main reports as unusable input.
+    patterns = [Pattern.parse(name) for name in args.forbidden]
     result = enumerate_propagation_paths(
-        patterns, cfg.max_n, emit=cfg.emit, jobs=cfg.jobs
+        patterns, args.max_n, emit=args.emit, jobs=args.jobs
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"counts": list(result.counts), "max_length": result.max_length}))
     else:
-        for k in range(1, cfg.max_n + 1):
+        for k in range(1, args.max_n + 1):
             print(f"{k}\t{result.count_at(k)}")
         print(f"max_length\t{result.max_length}")
     if [p.name for p in patterns] == ["P6"]:
-        upto = min(cfg.max_n, len(P6_REFERENCE_COUNTS))
+        upto = min(args.max_n, len(P6_REFERENCE_COUNTS))
         bad = [
             (k, result.count_at(k), P6_REFERENCE_COUNTS[k - 1])
             for k in range(1, upto + 1)
@@ -108,16 +78,16 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.graph)
+def cmd_solve(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     lists = (
-        _load_lists(cfg.lists, g.n) if cfg.lists else ListSystem.full(g.n)
+        _load_lists(args.lists, g.n) if args.lists else ListSystem.full(g.n)
     )
     coloring = l_colorable(g, lists)
     if coloring is None:
         print("UNSAT")
         return 1
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"coloring": list(coloring)}))
     else:
         for v, c in enumerate(coloring):
@@ -125,13 +95,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.graph)
+def cmd_check(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     lists = (
-        _load_lists(cfg.lists, g.n) if cfg.lists else ListSystem.full(g.n)
+        _load_lists(args.lists, g.n) if args.lists else ListSystem.full(g.n)
     )
     report = obstruction_report(g, lists)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
         print(f"colorable\t{report.colorable}")
@@ -142,37 +112,37 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if not report.colorable and report.minimal else 1
 
 
-def cmd_critical(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.graph)
+def cmd_critical(args: argparse.Namespace) -> int:
+    g = _load_graph(args.graph)
     verdict = is_4_vertex_critical(g)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"four_vertex_critical": verdict}))
     else:
         print(f"four_vertex_critical\t{verdict}")
     return 0 if verdict else 1
 
 
-def cmd_family(cfg: RunConfig) -> int:
-    if cfg.name == "Gr":
-        if cfg.verify:
-            report = verify_Gr(cfg.r)
+def cmd_family(args: argparse.Namespace) -> int:
+    if args.name == "Gr":
+        if args.verify:
+            report = verify_Gr(args.r)
         else:
-            print(write_graph6(gen_Gr(cfg.r)))
+            print(write_graph6(gen_Gr(args.r)))
             return 0
-    elif cfg.name == "Hr":
-        if cfg.verify:
-            report = verify_Hr(cfg.r)
+    elif args.name == "Hr":
+        if args.verify:
+            report = verify_Hr(args.r)
         else:
-            g, lists = gen_Hr(cfg.r)
-            if cfg.fmt == "json":
+            g, lists = gen_Hr(args.r)
+            if args.format == "json":
                 print(json.dumps({"graph6": write_graph6(g), "lists": lists_to_json(lists)}))
             else:
                 print(write_graph6(g))
                 print(json.dumps(lists_to_json(lists)))
             return 0
     else:
-        raise _UsageError(f"--name must be Gr or Hr, got {cfg.name!r}")
-    if cfg.fmt == "json":
+        raise _UsageError(f"--name must be Gr or Hr, got {args.name!r}")
+    if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
         for check in report.checks:
@@ -182,8 +152,8 @@ def cmd_family(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    text = cfg.pattern
+def cmd_classify(args: argparse.Namespace) -> int:
+    text = args.pattern
     try:
         target = Pattern.parse(text)
     except ValueError:
@@ -194,7 +164,7 @@ def cmd_classify(cfg: RunConfig) -> int:
                 f"{text!r} is neither a recognized pattern name nor valid graph6"
             )
     verdict = classify(target)
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = verdict.to_json_dict()
         out["summary"] = describe(verdict)
         print(json.dumps(out))
@@ -214,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="count pattern-free propagation paths by length")
+    p.set_defaults(func=cmd_enumerate)
     p.add_argument("--forbidden", action="append", default=[], metavar="PATTERN",
                    help="forbidden pattern name, repeatable")
     p.add_argument("--max-n", type=int, default=25)
@@ -222,64 +193,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("solve", help="find a list coloring or report UNSAT")
+    p.set_defaults(func=cmd_solve)
     p.add_argument("--graph", required=True, metavar="G6FILE")
     p.add_argument("--lists", metavar="JSONFILE")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("check", help="full obstruction report for a graph with lists")
+    p.set_defaults(func=cmd_check)
     p.add_argument("--graph", required=True, metavar="G6FILE")
     p.add_argument("--lists", metavar="JSONFILE")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("critical", help="is the graph 4-vertex-critical?")
+    p.set_defaults(func=cmd_critical)
     p.add_argument("--graph", required=True, metavar="G6FILE")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("family", help="emit or verify a certificate family member")
+    p.set_defaults(func=cmd_family)
     p.add_argument("--name", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     p = sub.add_parser("classify", help="finite/infinite verdict for a pattern")
+    p.set_defaults(func=cmd_classify)
     p.add_argument("--pattern", required=True, metavar="NAME_OR_G6")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
     return parser
 
 
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "solve": cmd_solve,
-    "check": cmd_check,
-    "critical": cmd_critical,
-    "family": cmd_family,
-    "classify": cmd_classify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = RunConfig(
-            command=args.command,
-            forbidden=tuple(getattr(args, "forbidden", ()) or ()),
-            max_n=getattr(args, "max_n", 25),
-            jobs=getattr(args, "jobs", 1),
-            emit=getattr(args, "emit", None),
-            graph=getattr(args, "graph", None),
-            lists=getattr(args, "lists", None),
-            name=getattr(args, "name", None),
-            r=getattr(args, "r", 1),
-            pattern=getattr(args, "pattern", None),
-            fmt=getattr(args, "format", "table"),
-            verify=getattr(args, "verify", False),
-        )
-        return _COMMANDS[args.command](cfg)
+        return args.func(args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

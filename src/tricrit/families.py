@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import ListSystem, l_colorable, precolor_and_update, update_along_path
-from .graphs import MAX_VERTICES, Graph, contains_induced, find_induced_embedding, induced_subgraph
+from .graphs import MAX_VERTICES, Graph, find_induced_embedding, induced_subgraph
 from .obstructions import is_4_vertex_critical, is_minimal_obstruction
 
 

@@ -294,18 +294,20 @@ def _match_order(h: Graph) -> list[int]:
     return order
 
 
-def _embed(g: Graph, h: Graph, order: list[int], pinned: dict[int, int]) -> list[int] | None:
-    """Backtracking search for an induced embedding of h into g.
+def _embed(
+    grows: Sequence[int], n: int, h: Graph, order: list[int], pinned: dict[int, int]
+) -> list[int] | None:
+    """Backtracking search for an induced embedding of h into the graph
+    with adjacency rows ``grows`` on vertices 0..n-1.
 
     ``pinned`` maps pattern vertices to prescribed images.  Returns the image
     list indexed by pattern vertex, or None.
     """
-    n, hn = g.n, h.n
+    hn = h.n
     if hn > n:
         return None
     image = [-1] * hn
     used = 0
-    grows = g.rows
     hrows = h.rows
 
     def place(k: int, used: int) -> bool:
@@ -357,7 +359,7 @@ def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:
     hg = pattern_graph(h)
     if hg.n == 0:
         return ()
-    res = _embed(g, hg, _match_order(hg), {})
+    res = _embed(g.rows, g.n, hg, _match_order(hg), {})
     return tuple(res) if res is not None else None
 
 
@@ -371,7 +373,7 @@ def contains_induced(g: Graph, h) -> bool:
     t = _as_path_length(hg)
     if t is not None:
         return has_induced_path(g, t)
-    return _embed(g, hg, _match_order(hg), {}) is not None
+    return _embed(g.rows, g.n, hg, _match_order(hg), {}) is not None
 
 
 def _as_path_length(h: Graph) -> int | None:
@@ -392,31 +394,7 @@ def has_induced_path(g: Graph, t: int) -> bool:
     """Does ``g`` contain an induced path on ``t`` vertices?"""
     if t < 1:
         raise ValueError(f"path length must be positive, got {t}")
-    if t == 1:
-        return g.n > 0
-    if t == 2:
-        return any(r for r in g.rows)
-    rows = g.rows
-    for v in range(g.n):
-        if _induced_path_from(rows, v, 1 << v, v, t - 1):
-            return True
-    return False
-
-
-def _induced_path_from(rows, end: int, used: int, start: int, left: int) -> bool:
-    # Extend an induced path rightward from ``end``; ``start`` stays an
-    # endpoint.  A new vertex may touch only the current right endpoint.
-    forbid = used ^ (1 << end)
-    cand = rows[end] & ~used
-    while cand:
-        b = cand & -cand
-        cand ^= b
-        w = b.bit_length() - 1
-        if rows[w] & forbid:
-            continue
-        if left == 1 or _induced_path_from(rows, w, used | b, start, left - 1):
-            return True
-    return False
+    return any(has_induced_path_through(g.rows, v, t) for v in range(g.n))
 
 
 def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
@@ -568,12 +546,9 @@ def contains_induced_through(rows: Sequence[int], n: int, h: Graph, anchor: int)
     t = _as_path_length(h)
     if t is not None:
         return has_induced_path_through(rows, anchor, t)
-    g = Graph.__new__(Graph)
-    g.n = n
-    g.rows = tuple(rows[:n])
     order = _match_order(h)
     for p in range(h.n):
-        if _embed(g, h, order, {p: anchor}) is not None:
+        if _embed(rows, n, h, order, {p: anchor}) is not None:
             return True
     return False
 

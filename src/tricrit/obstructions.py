@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import FULL_MASK, ListSystem, l_colorable
+from .coloring import ListSystem, l_colorable
 from .graphs import Graph, induced_subgraph
 
 
-def _delete_vertex(g: Graph, l: ListSystem, v: int) -> tuple[Graph, ListSystem]:
-    keep = [u for u in range(g.n) if u != v]
-    return induced_subgraph(g, keep), ListSystem(l.masks[u] for u in keep)
+def _colorable_without(g: Graph, l: ListSystem, dead: int) -> bool:
+    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?"""
+    keep = [v for v in range(g.n) if not dead >> v & 1]
+    sub = induced_subgraph(g, keep)
+    return l_colorable(sub, ListSystem(l.masks[v] for v in keep)) is not None
 
 
 def is_obstruction(g: Graph, l: ListSystem) -> bool:
@@ -25,13 +27,7 @@ def is_obstruction(g: Graph, l: ListSystem) -> bool:
 
 def is_minimal_obstruction(g: Graph, l: ListSystem) -> bool:
     """Uncolorable, and colorable again after deleting any one vertex."""
-    if l_colorable(g, l) is not None:
-        return False
-    for v in range(g.n):
-        gd, ld = _delete_vertex(g, l, v)
-        if l_colorable(gd, ld) is None:
-            return False
-    return True
+    return is_obstruction(g, l) and all(_colorable_without(g, l, 1 << v) for v in range(g.n))
 
 
 def critical_vertices(g: Graph, l: ListSystem) -> list[int]:
@@ -39,38 +35,29 @@ def critical_vertices(g: Graph, l: ListSystem) -> list[int]:
 
     Only defined for obstructions; a colorable instance raises ValueError.
     """
-    if l_colorable(g, l) is not None:
+    if not is_obstruction(g, l):
         raise ValueError("critical vertices are only defined for uncolorable instances")
-    out = []
-    for v in range(g.n):
-        gd, ld = _delete_vertex(g, l, v)
-        if l_colorable(gd, ld) is not None:
-            out.append(v)
-    return out
+    return [v for v in range(g.n) if _colorable_without(g, l, 1 << v)]
 
 
 def extract_minimal(g: Graph, l: ListSystem) -> tuple[tuple[int, ...], Graph, ListSystem]:
     """Shrink an uncolorable instance to a minimal obstruction inside it.
 
-    Repeatedly deletes the lowest-indexed vertex whose deletion keeps the
-    instance uncolorable, recomputing after every deletion.  Returns the
-    surviving original vertex indices with the induced graph and lists.
+    One pass in index order deletes every vertex whose deletion, on top of
+    the deletions already made, keeps the instance uncolorable.  A vertex
+    kept is critical in every smaller obstruction too, so the result is the
+    same core as repeatedly deleting the lowest-indexed non-critical vertex
+    and recomputing.  Returns the surviving original vertex indices with
+    the induced graph and lists.
     """
-    if l_colorable(g, l) is not None:
+    if not is_obstruction(g, l):
         raise ValueError("extract_minimal needs an uncolorable instance")
-    alive = list(range(g.n))
-    cg, cl = g, l
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(alive)):
-            gd, ld = _delete_vertex(cg, cl, i)
-            if l_colorable(gd, ld) is None:
-                del alive[i]
-                cg, cl = gd, ld
-                changed = True
-                break
-    return tuple(alive), cg, cl
+    dead = 0
+    for v in range(g.n):
+        if not _colorable_without(g, l, dead | 1 << v):
+            dead |= 1 << v
+    keep = tuple(v for v in range(g.n) if not dead >> v & 1)
+    return keep, induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep)
 
 
 def dominates(g: Graph, l: ListSystem, u: int, v: int) -> bool:
@@ -90,15 +77,7 @@ def dominates(g: Graph, l: ListSystem, u: int, v: int) -> bool:
 
 def is_4_vertex_critical(g: Graph) -> bool:
     """Not 3-colorable, but 3-colorable after deleting any one vertex."""
-    full = ListSystem([FULL_MASK] * g.n)
-    if l_colorable(g, full) is not None:
-        return False
-    for v in range(g.n):
-        keep = [u for u in range(g.n) if u != v]
-        gd = induced_subgraph(g, keep)
-        if l_colorable(gd, ListSystem([FULL_MASK] * gd.n)) is None:
-            return False
-    return True
+    return is_minimal_obstruction(g, ListSystem.full(g.n))
 
 
 @dataclass(frozen=True)

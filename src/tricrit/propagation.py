@@ -162,8 +162,8 @@ class EnumerationResult:
         return sum(self.counts)
 
 
-def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple]:
-    """Split normalized patterns into path lengths and explicit row tuples."""
+def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple[Graph, ...]]:
+    """Split normalized patterns into path lengths and non-path pattern graphs."""
     path_ts = []
     others = []
     for h in forbidden:
@@ -172,18 +172,8 @@ def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple]:
         if t is not None:
             path_ts.append(t)
         else:
-            others.append(hg.rows)
+            others.append(hg)
     return tuple(sorted(set(path_ts))), tuple(others)
-
-
-def _rows_to_graphs(row_tuples) -> tuple[Graph, ...]:
-    out = []
-    for rows in row_tuples:
-        g = Graph.__new__(Graph)
-        g.n = len(rows)
-        g.rows = rows
-        out.append(g)
-    return tuple(out)
 
 
 def _hits_new_vertex(rows: list[int], n: int, anchor: int, path_ts, other_graphs) -> bool:
@@ -299,8 +289,8 @@ class _Engine:
 
 
 def _worker(args):
-    colors, extra, max_n, path_ts, other_rows, collect = args
-    eng = _Engine(path_ts, _rows_to_graphs(other_rows), max_n, collect)
+    colors, extra, max_n, path_ts, other_graphs, collect = args
+    eng = _Engine(path_ts, other_graphs, max_n, collect)
     eng.run_from(colors, extra)
     return eng.counts, eng.lines
 
@@ -327,8 +317,7 @@ def enumerate_propagation_paths(
         raise ValueError(f"max_n is capped at {MAX_ENUM_LENGTH}, got {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    path_ts, other_rows = _pack_forbidden(forbidden)
-    other_graphs = _rows_to_graphs(other_rows)
+    path_ts, other_graphs = _pack_forbidden(forbidden)
     collect = emit is not None
     jobs = min(jobs, os.cpu_count() or 1)
     split = min(6, max_n - 1)
@@ -341,7 +330,7 @@ def enumerate_propagation_paths(
         driver.run_root()
         counts, lines = driver.counts, driver.lines
         argss = [
-            (colors, extra, max_n, path_ts, other_rows, collect)
+            (colors, extra, max_n, path_ts, other_graphs, collect)
             for colors, extra in driver.tasks
         ]
         ctx = multiprocessing.get_context("fork")
@@ -369,8 +358,8 @@ def max_propagation_length(forbidden: Iterable) -> int:
     ever reach length 128 the search is presumed unbounded and a
     :class:`ResourceLimitError` is raised.
     """
-    path_ts, other_rows = _pack_forbidden(forbidden)
-    eng = _Engine(path_ts, _rows_to_graphs(other_rows), _HARD_LIMIT, False, hard_limit=_HARD_LIMIT)
+    path_ts, other_graphs = _pack_forbidden(forbidden)
+    eng = _Engine(path_ts, other_graphs, _HARD_LIMIT, False, hard_limit=_HARD_LIMIT)
     eng.run_root()
     best = 0
     for i, c in enumerate(eng.counts):

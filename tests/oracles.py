@@ -176,6 +176,35 @@ def assert_minimal_obstruction_sane(g: Graph, lists: ListSystem):
         assert len(components(g)) == 1, "a minimal obstruction must be connected"
 
 
+def extract_minimal_restart(g: Graph, lists: ListSystem) -> tuple[int, ...]:
+    """Vertices of the minimal core found by deletion with restarts.
+
+    Deletes the lowest-indexed vertex whose deletion keeps the instance
+    uncolorable, then rescans from the lowest index; stops when every
+    remaining vertex is critical.  Colorability comes from the package's
+    solver, which the coloring tests check against ``brute_l_colorable``.
+    """
+    from tricrit.coloring import l_colorable
+    from tricrit.graphs import induced_subgraph
+
+    def colorable(vs) -> bool:
+        sub = induced_subgraph(g, vs)
+        return l_colorable(sub, ListSystem(lists.masks[v] for v in vs)) is not None
+
+    alive = list(range(g.n))
+    assert not colorable(alive), "extraction needs an uncolorable instance"
+    changed = True
+    while changed:
+        changed = False
+        for v in alive:
+            rest = [u for u in alive if u != v]
+            if not colorable(rest):
+                alive = rest
+                changed = True
+                break
+    return tuple(alive)
+
+
 def instance_propagation_lambda(g: Graph, lists: ListSystem) -> int:
     """Longest propagation path of an instance, by checking every simple path.
 

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from tricrit.cli import main
 from tricrit.coloring import ListSystem, lists_to_json
 from tricrit.families import gen_Hr
@@ -192,14 +190,16 @@ def test_argparse_failures_exit_2(capsys):
 
 
 def test_entry_point_installed():
+    # The console script when it is installed, else the module entry point
+    # of the package on the import path.
     import shutil
     import subprocess
+    import sys
 
     exe = shutil.which("tricrit")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    cmd = [exe] if exe is not None else [sys.executable, "-m", "tricrit"]
     proc = subprocess.run(
-        [exe, "classify", "--pattern", "P5"], capture_output=True, text=True
+        cmd + ["classify", "--pattern", "P5"], capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "induced-subgraph-of-P6" in proc.stdout

@@ -13,6 +13,7 @@ from tricrit.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    induced_subgraph,
     path_graph,
 )
 from tricrit.obstructions import (
@@ -29,6 +30,7 @@ from tricrit.obstructions import (
 from oracles import (
     assert_minimal_obstruction_sane,
     brute_l_colorable,
+    extract_minimal_restart,
     graphs_on,
     instance_propagation_lambda,
     random_graph,
@@ -95,7 +97,7 @@ def test_extract_minimal_is_deterministic():
     assert extract_minimal(g, l) == extract_minimal(g, l)
 
 
-@given(st.integers(0, 2**28), st.integers(1, 6))
+@given(st.integers(0, 2**28), st.integers(1, 8))
 @settings(max_examples=120, deadline=None)
 def test_extract_minimal_output_is_minimal(seed, n):
     rng = random.Random(seed)
@@ -104,6 +106,8 @@ def test_extract_minimal_output_is_minimal(seed, n):
     if l_colorable(g, l) is not None:
         return
     verts, core, core_l = extract_minimal(g, l)
+    assert verts == extract_minimal_restart(g, l)
+    assert core == induced_subgraph(g, verts)
     assert set(verts) <= set(range(n))
     assert core.n == len(verts)
     for a, b in zip(verts, verts[1:]):
@@ -111,6 +115,53 @@ def test_extract_minimal_output_is_minimal(seed, n):
     assert is_minimal_obstruction(core, core_l)
     for idx, v in enumerate(verts):
         assert core_l.masks[idx] == l.masks[v]
+
+
+def padded_Hr(rng, r, pads):
+    """gen_Hr(r) plus full-list vertices, each joined to two earlier
+    vertices, under a random relabelling.  Returns the instance and the
+    new labels of the Hr vertices."""
+    g, l = gen_Hr(r)
+    n = g.n + pads
+    edges = list(g.edges())
+    for w in range(g.n, n):
+        edges += [(u, w) for u in rng.sample(range(w), 2)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    masks = [0] * n
+    for v, m in enumerate(list(l.masks) + [FULL_MASK] * pads):
+        masks[perm[v]] = m
+    return Graph(n, edges).relabel(perm), ListSystem(masks), sorted(perm[: g.n])
+
+
+def test_extract_minimal_sheds_padding_like_restart_scan():
+    # Every uncolorable subset contains the whole Hr core: without one of
+    # its vertices the core colors, and each padding vertex then sees at
+    # most two colored earlier vertices.  So both scans return the core.
+    rng = random.Random(7)
+    for r in (1, 2, 3, 4):
+        for pads in (1, 2, 4):
+            g, l, core_verts = padded_Hr(rng, r, pads)
+            verts, core, core_l = extract_minimal(g, l)
+            assert verts == extract_minimal_restart(g, l) == tuple(core_verts)
+            assert is_minimal_obstruction(core, core_l)
+
+
+def test_extract_minimal_solves_once_per_vertex(monkeypatch):
+    import tricrit.obstructions as obstructions
+
+    calls = 0
+    solve = obstructions.l_colorable
+
+    def counting_solve(g, l):
+        nonlocal calls
+        calls += 1
+        return solve(g, l)
+
+    monkeypatch.setattr(obstructions, "l_colorable", counting_solve)
+    g, l = k4_plus_isolated(10)
+    assert extract_minimal(g, l)[0] == (0, 1, 2, 3)
+    assert calls <= g.n + 1
 
 
 def test_dominates():
