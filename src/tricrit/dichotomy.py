@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, components, find_induced_embedding, pattern_graph
+from .graphs import Graph, find_induced_embedding, linear_forest, pattern_graph
 
 CASE_CONTAINS_CYCLE = "contains-cycle"
 CASE_CONTAINS_CLAW = "contains-claw"
@@ -63,38 +63,6 @@ class DichotomyVerdict:
         }
 
 
-def _path_order(g: Graph, comp: list[int]) -> list[int] | None:
-    """The vertices of a component in path order, or None if not a path."""
-    if len(comp) == 1:
-        return comp[:]
-    sub_deg = {v: len([u for u in comp if g.has_edge(u, v)]) for v in comp}
-    ends = [v for v in comp if sub_deg[v] == 1]
-    if len(ends) != 2 or any(d > 2 for d in sub_deg.values()):
-        return None
-    order = [min(ends)]
-    seen = {order[0]}
-    while len(order) < len(comp):
-        nxt = [u for u in comp if g.has_edge(order[-1], u) and u not in seen]
-        if len(nxt) != 1:
-            return None
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    if len(order) != len(comp):
-        return None
-    return order
-
-
-def _linear_forest(g: Graph) -> list[list[int]] | None:
-    """Components in path order if every component is a path, else None."""
-    out = []
-    for comp in components(g):
-        order = _path_order(g, comp)
-        if order is None:
-            return None
-        out.append(order)
-    return out
-
-
 def is_induced_subgraph_of_P6(h) -> tuple[int, ...] | None:
     """An embedding of ``h`` into the 6-vertex path, or None.
 
@@ -102,7 +70,7 @@ def is_induced_subgraph_of_P6(h) -> tuple[int, ...] | None:
     non-edges are both preserved.
     """
     g = pattern_graph(h)
-    paths = _linear_forest(g)
+    paths = linear_forest(g)
     if paths is None:
         return None
     need = sum(len(p) for p in paths) + max(0, len(paths) - 1)
@@ -125,7 +93,7 @@ def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
     4..3+k are the isolated vertices.
     """
     g = pattern_graph(h)
-    paths = _linear_forest(g)
+    paths = linear_forest(g)
     if paths is None:
         return None
     big = [p for p in paths if len(p) >= 2]
@@ -206,7 +174,7 @@ def classify(h) -> DichotomyVerdict:
     emb = find_induced_embedding(g, "2P2+P1")
     if emb is not None:
         return DichotomyVerdict(CASE_CONTAINS_2P2_P1, False, False, witness=emb)
-    paths = _linear_forest(g)
+    paths = linear_forest(g)
     if paths is None:
         raise AssertionError("an acyclic claw-free graph must be a linear forest")
     sizes = sorted((len(p) for p in paths), reverse=True)

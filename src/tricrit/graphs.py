@@ -277,13 +277,11 @@ def anticomponents(g: Graph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # induced-pattern detection
 
-def _match_order(h: Graph) -> list[int]:
-    # Start from a max-degree vertex, then prefer vertices with many already
-    # placed neighbors so the backtracking stays connected where possible.
-    if h.n == 0:
-        return []
-    order = [max(range(h.n), key=h.degree)]
-    placed = 1 << order[0]
+def _match_order(h: Graph, start: int) -> tuple[int, ...]:
+    # Start from ``start``, then prefer vertices with many already placed
+    # neighbors so the backtracking stays connected where possible.
+    order = [start]
+    placed = 1 << start
     while len(order) < h.n:
         best = max(
             (v for v in range(h.n) if not placed >> v & 1),
@@ -291,24 +289,31 @@ def _match_order(h: Graph) -> list[int]:
         )
         order.append(best)
         placed |= 1 << best
-    return order
+    return tuple(order)
+
+
+def anchored_orders(h: Graph) -> tuple[tuple[int, ...], ...]:
+    """One match order per pattern vertex p, the p-th starting at p."""
+    return tuple(_match_order(h, p) for p in range(h.n))
 
 
 def _embed(
-    grows: Sequence[int], n: int, h: Graph, order: list[int], pinned: dict[int, int]
+    grows: Sequence[int], n: int, h: Graph, order: Sequence[int], first: int
 ) -> list[int] | None:
     """Backtracking search for an induced embedding of h into the graph
     with adjacency rows ``grows`` on vertices 0..n-1.
 
-    ``pinned`` maps pattern vertices to prescribed images.  Returns the image
-    list indexed by pattern vertex, or None.
+    Pattern vertices are placed in ``order``; ``order[0]`` goes on a vertex
+    of the bitmask ``first`` and every later one on any unused vertex, each
+    tried lowest first.  Returns the image list indexed by pattern vertex,
+    or None.
     """
     hn = h.n
     if hn > n:
         return None
     image = [-1] * hn
-    used = 0
     hrows = h.rows
+    full = (1 << n) - 1
 
     def place(k: int, used: int) -> bool:
         if k == hn:
@@ -321,33 +326,18 @@ def _embed(
                 adj_req |= 1 << image[q]
             else:
                 non_req |= 1 << image[q]
-        if p in pinned:
-            u = pinned[p]
-            if used >> u & 1:
-                return False
-            if grows[u] & adj_req == adj_req and not grows[u] & non_req:
-                image[p] = u
-                if place(k + 1, used | 1 << u):
-                    return True
-                image[p] = -1
-            return False
-        cand = ~used & ((1 << n) - 1)
+        cand = first if k == 0 else ~used & full
         while cand:
             b = cand & -cand
             cand ^= b
             u = b.bit_length() - 1
             if grows[u] & adj_req == adj_req and not grows[u] & non_req:
                 image[p] = u
-                if place(k + 1, used | 1 << u):
+                if place(k + 1, used | b):
                     return True
-                image[p] = -1
         return False
 
-    # Pinned vertices must be placed consistently even if they come late in
-    # the order; the per-vertex branch above handles them.
-    if place(0, used):
-        return image
-    return None
+    return image if place(0, 0) else None
 
 
 def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:
@@ -359,42 +349,57 @@ def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:
     hg = pattern_graph(h)
     if hg.n == 0:
         return ()
-    res = _embed(g.rows, g.n, hg, _match_order(hg), {})
+    order = _match_order(hg, max(range(hg.n), key=hg.degree))
+    res = _embed(g.rows, g.n, hg, order, (1 << g.n) - 1)
     return tuple(res) if res is not None else None
 
 
 def contains_induced(g: Graph, h) -> bool:
     """Does ``g`` contain the pattern ``h`` as an induced subgraph?"""
     hg = pattern_graph(h)
-    if hg.n == 0:
-        return True
     # Paths go through the dedicated detector; it is much faster and the two
     # are tested to agree.
     t = _as_path_length(hg)
     if t is not None:
         return has_induced_path(g, t)
-    return _embed(g.rows, g.n, hg, _match_order(hg), {}) is not None
+    return find_induced_embedding(g, hg) is not None
+
+
+def linear_forest(h: Graph) -> list[list[int]] | None:
+    """The components of ``h``, ordered by minimum vertex, each in path
+    order from its lower end; None if some component is not a path."""
+    out = []
+    for comp in components(h):
+        ends = [v for v in comp if h.degree(v) < 2]
+        if not ends or any(h.degree(v) > 2 for v in comp):
+            return None
+        walk = [ends[0]]
+        seen = 1 << ends[0]
+        while len(walk) < len(comp):
+            nxt = h.rows[walk[-1]] & ~seen
+            walk.append(nxt.bit_length() - 1)
+            seen |= nxt
+        out.append(walk)
+    return out
 
 
 def _as_path_length(h: Graph) -> int | None:
     """If h is a path, its vertex count, else None."""
-    if h.n == 0:
-        return None
-    if h.edge_count() != h.n - 1:
-        return None
-    degs = sorted(h.degree(v) for v in range(h.n))
-    if h.n == 1:
-        return 1
-    if degs[0] != 1 or degs[1] != 1 or (h.n > 2 and degs[-1] != 2):
-        return None
-    return h.n if len(components(h)) == 1 else None
+    forest = linear_forest(h)
+    return h.n if forest is not None and len(forest) == 1 else None
 
 
 def has_induced_path(g: Graph, t: int) -> bool:
     """Does ``g`` contain an induced path on ``t`` vertices?"""
     if t < 1:
         raise ValueError(f"path length must be positive, got {t}")
-    return any(has_induced_path_through(g.rows, v, t) for v in range(g.n))
+    rows = g.rows
+    for v in range(g.n):
+        if has_induced_path_through(rows, v, t):
+            return True
+        # Every path through v is ruled out, so later anchors skip v.
+        rows = [r & ~(1 << v) for r in rows]
+    return False
 
 
 def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
@@ -535,22 +540,18 @@ def _path6_through(rows: Sequence[int], anchor: int) -> bool:
     return False
 
 
-def contains_induced_through(rows: Sequence[int], n: int, h: Graph, anchor: int) -> bool:
+def contains_induced_through(
+    rows: Sequence[int], n: int, h: Graph, orders: Sequence[Sequence[int]], anchor: int
+) -> bool:
     """Does the graph given by ``rows`` contain ``h`` induced, using ``anchor``?
 
-    ``rows`` must already be well-formed adjacency rows; they are trusted
-    so enumeration loops can call this without building Graph objects.
+    ``orders`` is ``anchored_orders(h)``, so the anchor is tried as each
+    pattern vertex in turn.  ``rows`` are trusted to be well-formed, so
+    enumeration loops can call this without building Graph objects.
     """
-    if h.n == 0:
-        return True
-    t = _as_path_length(h)
-    if t is not None:
-        return has_induced_path_through(rows, anchor, t)
-    order = _match_order(h)
-    for p in range(h.n):
-        if _embed(rows, n, h, order, {p: anchor}) is not None:
-            return True
-    return False
+    return h.n == 0 or any(
+        _embed(rows, n, h, order, 1 << anchor) is not None for order in orders
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
+    anchored_orders,
     contains_induced_through,
     has_induced_path_through,
     pattern_graph,
@@ -162,8 +163,8 @@ class EnumerationResult:
         return sum(self.counts)
 
 
-def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple[Graph, ...]]:
-    """Split normalized patterns into path lengths and non-path pattern graphs."""
+def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Split patterns into path lengths and (graph, anchored_orders) pairs."""
     path_ts = []
     others = []
     for h in forbidden:
@@ -172,7 +173,7 @@ def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple[Graph, 
         if t is not None:
             path_ts.append(t)
         else:
-            others.append(hg)
+            others.append((hg, anchored_orders(hg)))
     return tuple(sorted(set(path_ts))), tuple(others)
 
 
@@ -180,8 +181,8 @@ def _hits_new_vertex(rows: list[int], n: int, anchor: int, path_ts, other_graphs
     for t in path_ts:
         if t <= n and has_induced_path_through(rows, anchor, t):
             return True
-    for hg in other_graphs:
-        if hg.n <= n and contains_induced_through(rows, n, hg, anchor):
+    for hg, orders in other_graphs:
+        if hg.n <= n and contains_induced_through(rows, n, hg, orders, anchor):
             return True
     return False
 
@@ -361,11 +362,7 @@ def max_propagation_length(forbidden: Iterable) -> int:
     path_ts, other_graphs = _pack_forbidden(forbidden)
     eng = _Engine(path_ts, other_graphs, _HARD_LIMIT, False, hard_limit=_HARD_LIMIT)
     eng.run_root()
-    best = 0
-    for i, c in enumerate(eng.counts):
-        if c:
-            best = i + 1
-    return best
+    return EnumerationResult(tuple(eng.counts)).max_length
 
 
 def parse_emitted_line(line: str) -> PropConfig:

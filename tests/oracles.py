@@ -75,6 +75,17 @@ def contains_induced_brute(g: Graph, h: Graph) -> bool:
     return False
 
 
+def contains_induced_through_brute(g: Graph, h: Graph, a: int) -> bool:
+    """Induced containment using vertex ``a``, over every subset holding ``a``."""
+    from tricrit.graphs import induced_subgraph
+
+    others = [v for v in range(g.n) if v != a]
+    for subset in combinations(others, h.n - 1):
+        if is_iso_brute(induced_subgraph(g, (a, *subset)), h):
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def graphs_on(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class on exactly n vertices."""

@@ -4,7 +4,17 @@ import pytest
 
 from tricrit.coloring import ListSystem, l_colorable
 from tricrit.families import FamilyReport, gen_Gr, gen_Hr, verify_Gr, verify_Hr
-from tricrit.graphs import complete_graph, contains_induced, induced_subgraph
+from tricrit.graphs import (
+    anchored_orders,
+    complete_graph,
+    contains_induced,
+    contains_induced_through,
+    disjoint_union,
+    has_induced_path_through,
+    induced_subgraph,
+    path_graph,
+    pattern_graph,
+)
 from tricrit.obstructions import is_minimal_obstruction
 
 from oracles import assert_minimal_obstruction_sane
@@ -27,6 +37,30 @@ def test_gen_Gr_is_shift_invariant():
         g = gen_Gr(r)
         shift = [(v + 1) % g.n for v in range(g.n)]
         assert g.relabel(shift) == g
+
+
+def test_gen_Gr_vertex_zero_decides_containment():
+    # verify_Gr checks its patterns through vertex 0 only, which is sound
+    # because G_r is circulant.  P4, C4 and 2P2 occur in some G_r, so both
+    # answers are exercised.
+    patterns = {
+        "P4": pattern_graph("P4"),
+        "C4": pattern_graph("C4"),
+        "2P2": disjoint_union(path_graph(2), path_graph(2)),
+        "2P2+P1": pattern_graph("2P2+P1"),
+        "P7": pattern_graph("P7"),
+    }
+    seen = set()
+    for r in range(1, 9):
+        g = gen_Gr(r)
+        for name, h in patterns.items():
+            whole = contains_induced(g, h)
+            through = contains_induced_through(g.rows, g.n, h, anchored_orders(h), 0)
+            assert through == whole, (r, name)
+            if name in ("P4", "P7"):
+                assert has_induced_path_through(g.rows, 0, h.n) == whole, (r, name)
+            seen.add(whole)
+    assert seen == {True, False}
 
 
 def test_gen_Gr_bounds():

@@ -10,12 +10,14 @@ from tricrit.graphs import (
     Graph,
     Graph6Error,
     Pattern,
+    anchored_orders,
     anticomponents,
     canonical_form,
     claw_graph,
     complete_graph,
     components,
     contains_induced,
+    contains_induced_through,
     cycle_graph,
     disjoint_union,
     find_induced_embedding,
@@ -27,7 +29,13 @@ from tricrit.graphs import (
     write_graph6,
 )
 
-from oracles import contains_induced_brute, graphs_upto, is_iso_brute, random_graph
+from oracles import (
+    contains_induced_brute,
+    contains_induced_through_brute,
+    graphs_upto,
+    is_iso_brute,
+    random_graph,
+)
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -128,7 +136,7 @@ def test_contains_induced_against_brute_small():
 @given(st.integers(0, 2**28), st.integers(2, 7))
 @settings(max_examples=60)
 def test_path_monotonicity(seed, t):
-    g = random_graph(random.Random(seed), 8, 0.4)
+    g = random_graph(random.Random(seed), 10, 0.4)
     if contains_induced(g, path_graph(t)):
         assert contains_induced(g, path_graph(t - 1))
 
@@ -136,10 +144,27 @@ def test_path_monotonicity(seed, t):
 @given(st.integers(0, 2**28), st.integers(1, 7))
 @settings(max_examples=60)
 def test_path_detector_agrees_with_generic_matcher(seed, t):
-    g = random_graph(random.Random(seed), 8, 0.35)
+    g = random_graph(random.Random(seed), 10, 0.35)
     # force the generic matcher by handing it an anonymous copy of the path
     generic = find_induced_embedding(g, path_graph(t)) is not None
     assert has_induced_path(g, t) == generic
+
+
+@given(
+    st.integers(0, 2**28),
+    st.integers(0, 8),
+    st.sampled_from(["2P3", "claw", "C4", "2P2+P1", "P4+1P1", "C3"]),
+)
+@settings(max_examples=60)
+def test_anchored_matcher_agrees_with_brute(seed, n, name):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+    h = pattern_graph(name)
+    orders = anchored_orders(h)
+    for a in range(n):
+        assert contains_induced_through(g.rows, n, h, orders, a) == (
+            contains_induced_through_brute(g, h, a)
+        ), (g, name, a)
 
 
 # ---------------------------------------------------------------------------

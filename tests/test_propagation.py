@@ -125,19 +125,21 @@ def test_enumerate_edge_cases():
 
 def test_enumerate_agrees_with_brute_force():
     forbidden_sets = [
-        [],
-        ["P6"],
-        ["P4"],
-        ["P3"],
-        ["claw"],
-        ["C4"],
-        ["2P2+P1"],
-        ["P6", "C4"],
+        ([], 6),
+        (["P6"], 6),
+        (["P4"], 6),
+        (["P3"], 6),
+        (["claw"], 6),
+        (["C4"], 6),
+        (["2P2+P1"], 6),
+        (["P6", "C4"], 6),
+        (["2P3"], 7),
+        (["P4+1P1"], 7),
     ]
-    for names in forbidden_sets:
+    for names, max_n in forbidden_sets:
         patterns = [pattern_graph(x) for x in names]
-        r = enumerate_propagation_paths(names, 6)
-        for k in range(1, 7):
+        r = enumerate_propagation_paths(names, max_n)
+        for k in range(1, max_n + 1):
             assert r.count_at(k) == brute_count_configs(patterns, k), (names, k)
 
 
