@@ -414,14 +414,9 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
     highest vertex down: callers anchor at the newest (highest) vertex,
     whose neighborhood is where a fresh path is most likely to live, and
     on this workload most queries succeed, so time-to-first-hit dominates.
-    ``t == 6`` is the hot case and gets a hand-unrolled walker.
     """
     if t == 1:
         return True
-    if t == 2:
-        return rows[anchor] != 0
-    if t == 6:
-        return _path6_through(rows, anchor)
     abit = 1 << anchor
     tm1 = t - 1
     thr = t + 1
@@ -464,80 +459,6 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
         return False
 
     return first_arm(anchor, abit, abit, 1)
-
-
-def _path6_through(rows: Sequence[int], anchor: int) -> bool:
-    # has_induced_path_through specialised to t == 6 with the recursion
-    # unrolled into nested loops: same arm discipline (first arm takes at
-    # least 3 of the 5 non-anchor vertices, so the splits tried are 5+0,
-    # 4+1 and 3+2), same highest-vertex-first scan order.
-    ar = rows[anchor]
-    abit = 1 << anchor
-    c1 = ar
-    while c1:
-        w1 = c1.bit_length() - 1
-        b1 = 1 << w1
-        c1 ^= b1
-        u1 = abit | b1
-        c2 = rows[w1] & ~u1
-        while c2:
-            w2 = c2.bit_length() - 1
-            b2 = 1 << w2
-            c2 ^= b2
-            if rows[w2] & abit:
-                continue
-            u2 = u1 | b2
-            f3 = u2 ^ b2
-            c3 = rows[w2] & ~u2
-            while c3:
-                w3 = c3.bit_length() - 1
-                b3 = 1 << w3
-                c3 ^= b3
-                if rows[w3] & f3:
-                    continue
-                u3 = u2 | b3
-                f4 = u3 ^ b3
-                c4 = rows[w3] & ~u3
-                while c4:
-                    w4 = c4.bit_length() - 1
-                    b4 = 1 << w4
-                    c4 ^= b4
-                    if rows[w4] & f4:
-                        continue
-                    u4 = u3 | b4
-                    f5 = u4 ^ b4
-                    c5 = rows[w4] & ~u4
-                    while c5:  # split 5+0: anchor, w1..w5 in one arm
-                        w5 = c5.bit_length() - 1
-                        b5 = 1 << w5
-                        c5 ^= b5
-                        if rows[w5] & f5 == 0:
-                            return True
-                    fl = u4 ^ abit
-                    cl = ar & ~u4
-                    while cl:  # split 4+1: one vertex on the far side
-                        wl = cl.bit_length() - 1
-                        bl = 1 << wl
-                        cl ^= bl
-                        if rows[wl] & fl == 0:
-                            return True
-                fl1 = u3 ^ abit
-                cl1 = ar & ~u3
-                while cl1:  # split 3+2: two vertices on the far side
-                    wl1 = cl1.bit_length() - 1
-                    bl1 = 1 << wl1
-                    cl1 ^= bl1
-                    if rows[wl1] & fl1:
-                        continue
-                    ul1 = u3 | bl1
-                    cl2 = rows[wl1] & ~ul1
-                    while cl2:
-                        wl2 = cl2.bit_length() - 1
-                        bl2 = 1 << wl2
-                        cl2 ^= bl2
-                        if rows[wl2] & u3 == 0:
-                            return True
-    return False
 
 
 def contains_induced_through(

@@ -8,6 +8,7 @@ of minimality, and the predicates here only ever delete vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .coloring import ListSystem, l_colorable
 from .graphs import Graph, induced_subgraph
@@ -52,8 +53,14 @@ def extract_minimal(g: Graph, l: ListSystem) -> tuple[tuple[int, ...], Graph, Li
     """
     if not is_obstruction(g, l):
         raise ValueError("extract_minimal needs an uncolorable instance")
+    return _extract(g, l, range(g.n))
+
+
+def _extract(g: Graph, l: ListSystem, candidates: Iterable[int]):
+    """The pass of :func:`extract_minimal` over ``candidates`` only, in
+    increasing order; every other vertex must be critical in (g, l)."""
     dead = 0
-    for v in range(g.n):
+    for v in candidates:
         if not _colorable_without(g, l, dead | 1 << v):
             dead |= 1 << v
     keep = tuple(v for v in range(g.n) if not dead >> v & 1)
@@ -108,10 +115,14 @@ class ObstructionReport:
 
 
 def obstruction_report(g: Graph, l: ListSystem) -> ObstructionReport:
-    """Solve, test minimality, list non-critical vertices, extract a core."""
+    """Solve, test minimality, list non-critical vertices, extract a core.
+
+    A critical vertex stays critical in every obstruction inside (g, l), so
+    the extraction tests only the non-critical ones: 1 + n + |non-critical|
+    solves in all.
+    """
     witness = l_colorable(g, l)
     if witness is not None:
         return ObstructionReport(True, witness, False, (), None)
-    crit = set(critical_vertices(g, l))
-    non_crit = tuple(v for v in range(g.n) if v not in crit)
-    return ObstructionReport(False, None, not non_crit, non_crit, extract_minimal(g, l))
+    non_crit = tuple(v for v in range(g.n) if not _colorable_without(g, l, 1 << v))
+    return ObstructionReport(False, None, not non_crit, non_crit, _extract(g, l, non_crit))

@@ -11,13 +11,19 @@ colors c(v_i), c(v_j), c(v_{j-1}) are pairwise distinct.  The enumerator
 counts labeled configurations whose graphs avoid every forbidden pattern,
 growing the path one vertex at a time; both the chord rule and pattern
 freeness are preserved under truncation, so depth-first growth visits
-exactly the admissible configurations.
+exactly the admissible configurations.  Swapping colors 2 and 3 keeps
+c(v_1) = 1, the chord rule and the graph, so only the configurations with
+c(v_2) = 2 are searched; each one of length at least 2 stands for itself
+and its 2<->3 twin.
 """
 from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -41,6 +47,7 @@ MAX_ENUM_LENGTH = 64
 _HARD_LIMIT = 128
 
 _OTHERS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+_SWAP_2_3 = str.maketrans("23", "32")
 
 
 class ResourceLimitError(RuntimeError):
@@ -244,7 +251,8 @@ class _Engine:
         counts = self.counts
         path_ts = self.path_ts
         other_graphs = self.other_graphs
-        for alpha in _OTHERS[last]:
+        # c(v_2) = 3 is the 2<->3 mirror of c(v_2) = 2; the caller counts it.
+        for alpha in (2,) if k == 1 else _OTHERS[last]:
             adm = [
                 i0
                 for i0 in range(k - 1)
@@ -307,10 +315,10 @@ def enumerate_propagation_paths(
     ``forbidden`` is a collection of patterns (graphs, Pattern objects or
     names).  ``emit``, if given, is a writable text sink or a file path;
     accepted configurations are written one per line as
-    ``<length> <colors> <chords>`` in sorted order.  ``jobs`` farms
-    subtrees out to worker processes; results do not depend on it.  The
-    pool never exceeds the machine's core count — the work is CPU-bound,
-    so extra processes beyond that only add scheduling overhead.
+    ``<length> <colors> <chords>`` in sorted order, one write per length.
+    ``jobs`` farms subtrees out to worker processes; results do not depend
+    on it.  The pool never exceeds the machine's core count — the work is
+    CPU-bound, so extra processes beyond that only add scheduling overhead.
     """
     if not isinstance(max_n, int) or max_n < 0:
         raise ValueError(f"max_n must be a non-negative integer, got {max_n!r}")
@@ -341,14 +349,13 @@ def enumerate_propagation_paths(
                     counts[i] += c
                 if collect and wlines:
                     lines.extend(wlines)
+    counts[1:] = [2 * c for c in counts[1:]]
     if collect:
+        lines += [(k, cs.translate(_SWAP_2_3), es) for k, cs, es in lines if k > 1]
         lines.sort()
-        text = "".join(f"{k} {cs} {es}\n" for k, cs, es in lines)
-        if hasattr(emit, "write"):
-            emit.write(text)
-        else:
-            with open(emit, "w") as fh:
-                fh.write(text)
+        with nullcontext(emit) if hasattr(emit, "write") else open(emit, "w") as sink:
+            for k, group in groupby(lines, key=itemgetter(0)):
+                sink.write("".join(f"{k} {cs} {es}\n" for _, cs, es in group))
     return EnumerationResult(tuple(counts))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import sys
 import time
 from pathlib import Path
@@ -13,7 +15,10 @@ from tricrit.propagation import enumerate_propagation_paths
 
 @pytest.fixture(scope="session")
 def p6_run():
-    """The full reference enumeration, shared by the acceptance checks."""
+    """The full reference enumeration with its emitted stream, shared by the
+    acceptance checks: the result, the wall time and the stream's SHA-256."""
+    buf = io.StringIO()
     t0 = time.monotonic()
-    result = enumerate_propagation_paths(["P6"], 25)
-    return result, time.monotonic() - t0
+    result = enumerate_propagation_paths(["P6"], 25, emit=buf)
+    elapsed = time.monotonic() - t0
+    return result, elapsed, hashlib.sha256(buf.getvalue().encode()).hexdigest()

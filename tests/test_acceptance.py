@@ -41,8 +41,13 @@ def report(capsys, tag: str, ok: bool, detail: str):
     assert ok, f"criterion {tag}: {detail}"
 
 
+# SHA-256 of the full P6 n=25 emission stream, recorded from a search over
+# both values of c(v_2), so it also checks the 2<->3 twin lines.
+P6_STREAM_SHA256 = "d39362c335dcc3daff32218df6bf257fbb10425f5a320afd60354d57ed4f23c4"
+
+
 def test_criterion_1_reference_counts(p6_run, capsys):
-    result, elapsed = p6_run
+    result, elapsed, _ = p6_run
     exact = result.counts == P6_REFERENCE_COUNTS
     report(
         capsys,
@@ -61,8 +66,18 @@ def test_criterion_1_reference_counts(p6_run, capsys):
     )
 
 
+def test_criterion_1_emitted_stream(p6_run, capsys):
+    _, _, digest = p6_run
+    report(
+        capsys,
+        "1",
+        digest == P6_STREAM_SHA256,
+        f"P6 n=25 emitted stream SHA-256 {digest[:12]}... (want {P6_STREAM_SHA256[:12]}...)",
+    )
+
+
 def test_criterion_2_max_length(p6_run, capsys):
-    result, _ = p6_run
+    result, _, _ = p6_run
     ok = (
         result.max_length == 24
         and result.count_at(24) == 2

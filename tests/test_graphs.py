@@ -22,6 +22,7 @@ from tricrit.graphs import (
     disjoint_union,
     find_induced_embedding,
     has_induced_path,
+    has_induced_path_through,
     induced_subgraph,
     parse_graph6,
     path_graph,
@@ -148,6 +149,19 @@ def test_path_detector_agrees_with_generic_matcher(seed, t):
     # force the generic matcher by handing it an anonymous copy of the path
     generic = find_induced_embedding(g, path_graph(t)) is not None
     assert has_induced_path(g, t) == generic
+
+
+@given(st.integers(0, 2**28), st.integers(0, 9))
+@settings(max_examples=100, deadline=None)
+def test_path_walker_agrees_with_brute_at_every_anchor(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.45, 0.6]))
+    for t in range(1, 8):
+        p = path_graph(t)
+        for a in range(n):
+            assert has_induced_path_through(g.rows, a, t) == (
+                contains_induced_through_brute(g, p, a)
+            ), (g, t, a)
 
 
 @given(

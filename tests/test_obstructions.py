@@ -107,6 +107,7 @@ def test_extract_minimal_output_is_minimal(seed, n):
         return
     verts, core, core_l = extract_minimal(g, l)
     assert verts == extract_minimal_restart(g, l)
+    assert obstruction_report(g, l).extracted == (verts, core, core_l)
     assert core == induced_subgraph(g, verts)
     assert set(verts) <= set(range(n))
     assert core.n == len(verts)
@@ -147,21 +148,37 @@ def test_extract_minimal_sheds_padding_like_restart_scan():
             assert is_minimal_obstruction(core, core_l)
 
 
-def test_extract_minimal_solves_once_per_vertex(monkeypatch):
+def count_solves(monkeypatch) -> list:
+    """Count the solver calls made through ``tricrit.obstructions``."""
     import tricrit.obstructions as obstructions
 
-    calls = 0
+    calls = []
     solve = obstructions.l_colorable
 
     def counting_solve(g, l):
-        nonlocal calls
-        calls += 1
+        calls.append(g)
         return solve(g, l)
 
     monkeypatch.setattr(obstructions, "l_colorable", counting_solve)
+    return calls
+
+
+def test_extract_minimal_solves_once_per_vertex(monkeypatch):
+    calls = count_solves(monkeypatch)
     g, l = k4_plus_isolated(10)
     assert extract_minimal(g, l)[0] == (0, 1, 2, 3)
-    assert calls <= g.n + 1
+    assert len(calls) <= g.n + 1
+
+
+def test_obstruction_report_skips_known_critical_vertices(monkeypatch):
+    # One solve of the whole instance, one per vertex for criticality, and
+    # the extraction tests only the non-critical vertices.
+    calls = count_solves(monkeypatch)
+    g, l = k4_plus_isolated(10)
+    rep = obstruction_report(g, l)
+    assert rep.non_critical == tuple(range(4, 14))
+    assert rep.extracted[0] == (0, 1, 2, 3)
+    assert len(calls) <= 1 + g.n + len(rep.non_critical)
 
 
 def test_dominates():

@@ -178,14 +178,37 @@ def test_emitted_stream_is_valid_and_complete():
 
 def test_counts_deterministic_across_workers(monkeypatch):
     # Pretend the machine has three cores so jobs=3 really runs the
-    # process pool even when the test host has fewer.
+    # process pool even when the test host has fewer.  Lengths 1 and 2 are
+    # where the 2<->3 doubling and the twin lines start.
     monkeypatch.setattr("tricrit.propagation.os.cpu_count", lambda: 3)
-    buf1 = io.StringIO()
-    buf3 = io.StringIO()
-    r1 = enumerate_propagation_paths(["P6"], 9, emit=buf1, jobs=1)
-    r3 = enumerate_propagation_paths(["P6"], 9, emit=buf3, jobs=3)
-    assert r1.counts == r3.counts == P6_REFERENCE_COUNTS[:9]
-    assert buf1.getvalue() == buf3.getvalue()
+    for names, max_n in ((["P6"], 9), (["2P3"], 8), (["P6"], 1), (["P6"], 2)):
+        buf1 = io.StringIO()
+        buf3 = io.StringIO()
+        r1 = enumerate_propagation_paths(names, max_n, emit=buf1, jobs=1)
+        r3 = enumerate_propagation_paths(names, max_n, emit=buf3, jobs=3)
+        assert r1.counts == r3.counts, (names, max_n)
+        assert buf1.getvalue() == buf3.getvalue(), (names, max_n)
+        if names == ["P6"]:
+            assert r1.counts == P6_REFERENCE_COUNTS[:max_n]
+    assert buf1.getvalue() == "1 1 -\n2 12 -\n2 13 -\n"
+
+
+def test_emit_writes_one_length_at_a_time():
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    sink = Recorder()
+    buf = io.StringIO()
+    r = enumerate_propagation_paths(["P6"], 8, emit=sink)
+    enumerate_propagation_paths(["P6"], 8, emit=buf)
+    assert "".join(sink.writes) == buf.getvalue()
+    assert len(sink.writes) == len(r.counts)
+    for text in sink.writes:
+        assert len({line.split()[0] for line in text.splitlines()}) == 1
 
 
 def test_jobs_capped_at_core_count(monkeypatch):
