@@ -11,7 +11,6 @@ from .graphs import (
     Graph,
     Graph6Error,
     Pattern,
-    canonical_form,
     components,
     anticomponents,
     contains_induced,

@@ -70,20 +70,7 @@ def is_induced_subgraph_of_P6(h) -> tuple[int, ...] | None:
     non-edges are both preserved.
     """
     g = pattern_graph(h)
-    paths = linear_forest(g)
-    if paths is None:
-        return None
-    need = sum(len(p) for p in paths) + max(0, len(paths) - 1)
-    if need > 6:
-        return None
-    image = [-1] * g.n
-    pos = 0
-    for comp in paths:
-        for v in comp:
-            image[v] = pos
-            pos += 1
-        pos += 1
-    return tuple(image)
+    return _into_P6(g.n, linear_forest(g))
 
 
 def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
@@ -93,7 +80,26 @@ def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
     4..3+k are the isolated vertices.
     """
     g = pattern_graph(h)
-    paths = linear_forest(g)
+    return _into_P4kP1(g.n, linear_forest(g))
+
+
+def _into_P6(n: int, paths: list[list[int]] | None) -> tuple[int, ...] | None:
+    if paths is None:
+        return None
+    need = sum(len(p) for p in paths) + max(0, len(paths) - 1)
+    if need > 6:
+        return None
+    image = [-1] * n
+    pos = 0
+    for comp in paths:
+        for v in comp:
+            image[v] = pos
+            pos += 1
+        pos += 1
+    return tuple(image)
+
+
+def _into_P4kP1(n: int, paths: list[list[int]] | None) -> tuple[int, tuple[int, ...]] | None:
     if paths is None:
         return None
     big = [p for p in paths if len(p) >= 2]
@@ -102,7 +108,7 @@ def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
         return None
     if big and len(big[0]) > 4:
         return None
-    image = [-1] * g.n
+    image = [-1] * n
     spares: list[int]
     if not big:
         # Positions 0 and 2 of the path are non-adjacent, so two isolated
@@ -158,13 +164,22 @@ def _find_short_cycle(g: Graph) -> tuple[int, ...] | None:
 def classify(h) -> DichotomyVerdict:
     """Decide the finite/infinite regime of a pattern.
 
-    Checks run in a fixed order: a cycle, then a claw, then an induced
-    2P2+P1 put the pattern in the doubly infinite regime.  What remains is
-    a linear forest: two components of size 3 are exactly 2P3; any other
-    second component of size 2 or more fits inside P6, as does a single
-    path of 5 or 6 vertices; everything else fits inside P4+kP1.
+    The finite hosts are tried first: exactly 2P3, then P4+kP1 with the
+    least k, then P6.  A pattern that fits none of them contains a cycle, a
+    claw or an induced 2P2+P1, searched for in that order.
     """
     g = pattern_graph(h)
+    paths = linear_forest(g)
+    if paths is not None and sorted(map(len, paths)) == [3, 3]:
+        order = tuple(v for comp in paths for v in comp)
+        return DichotomyVerdict(CASE_EQUALS_2P3, True, False, witness=order)
+    res = _into_P4kP1(g.n, paths)
+    if res is not None:
+        k, emb = res
+        return DichotomyVerdict(CASE_SUBGRAPH_OF_P4_KP1, True, True, witness=emb, k=k)
+    emb = _into_P6(g.n, paths)
+    if emb is not None:
+        return DichotomyVerdict(CASE_SUBGRAPH_OF_P6, True, True, witness=emb)
     cyc = _find_short_cycle(g)
     if cyc is not None:
         return DichotomyVerdict(CASE_CONTAINS_CYCLE, False, False, witness=cyc)
@@ -174,30 +189,7 @@ def classify(h) -> DichotomyVerdict:
     emb = find_induced_embedding(g, "2P2+P1")
     if emb is not None:
         return DichotomyVerdict(CASE_CONTAINS_2P2_P1, False, False, witness=emb)
-    paths = linear_forest(g)
-    if paths is None:
-        raise AssertionError("an acyclic claw-free graph must be a linear forest")
-    sizes = sorted((len(p) for p in paths), reverse=True)
-    if len(sizes) >= 2 and sizes[1] >= 2:
-        if sizes == [3, 3]:
-            order = [v for comp in paths for v in comp]
-            return DichotomyVerdict(
-                CASE_EQUALS_2P3, True, False, witness=tuple(order)
-            )
-        emb6 = is_induced_subgraph_of_P6(g)
-        if emb6 is None:
-            raise AssertionError("two nontrivial path components here must fit in P6")
-        return DichotomyVerdict(CASE_SUBGRAPH_OF_P6, True, True, witness=emb6)
-    if sizes and sizes[0] >= 5:
-        emb6 = is_induced_subgraph_of_P6(g)
-        if emb6 is None:
-            raise AssertionError("a single path of 5 or 6 vertices must fit in P6")
-        return DichotomyVerdict(CASE_SUBGRAPH_OF_P6, True, True, witness=emb6)
-    res = is_induced_subgraph_of_P4kP1(g)
-    if res is None:
-        raise AssertionError("remaining patterns must fit in P4+kP1")
-    k, emb = res
-    return DichotomyVerdict(CASE_SUBGRAPH_OF_P4_KP1, True, True, witness=emb, k=k)
+    raise AssertionError("a pattern outside every finite host has an infinite witness")
 
 
 def describe(verdict: DichotomyVerdict) -> str:

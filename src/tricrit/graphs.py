@@ -1,9 +1,9 @@
-"""Bitmask graphs, induced-subgraph queries, canonical forms and graph6 I/O.
+"""Bitmask graphs, induced-subgraph queries and graph6 I/O.
 
 Vertices are 0..n-1 and adjacency is stored as one Python int per vertex,
 so neighborhood intersections and containment tests are single integer
 operations.  Everything here is exact and deterministic; the size cap of
-128 vertices keeps the canonical-form search and the graph6 writer simple.
+128 vertices keeps the graph6 reader and writer simple.
 """
 from __future__ import annotations
 
@@ -407,21 +407,24 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
 
     Takes raw adjacency rows so enumeration loops can call it without
     building Graph objects.  The path is grown as two arms out of the
-    anchor, first arm first; the second arm is opened only once the first
-    holds a strict majority of the remaining vertices, so each arm pair is
-    tried in one orientation only and the recursion never runs deeper on
-    the second arm than on the first.  Candidates are scanned from the
-    highest vertex down: callers anchor at the newest (highest) vertex,
-    whose neighborhood is where a fresh path is most likely to live, and
-    on this workload most queries succeed, so time-to-first-hit dominates.
+    anchor by one recursive ``arm``, first arm first; the second arm is
+    opened only once the first holds a strict majority of the remaining
+    vertices, so each arm pair is tried in one orientation only and the
+    recursion never runs deeper on the second arm than on the first.  The
+    second arm is ``arm`` restarted at the anchor with the switch closed.
+    Candidates are scanned from the highest vertex down: callers anchor at
+    the newest (highest) vertex, whose neighborhood is where a fresh path
+    is most likely to live, and on this workload most queries succeed, so
+    time-to-first-hit dominates.
     """
-    if t == 1:
-        return True
+    if t < 2:
+        return t == 1
     abit = 1 << anchor
     tm1 = t - 1
-    thr = t + 1
 
-    def first_arm(end: int, ebit: int, used: int, m: int) -> bool:
+    def arm(end: int, ebit: int, used: int, m: int, switch: int) -> bool:
+        # ``used`` holds the m vertices placed so far; once m reaches
+        # ``switch`` the other arm may open at the anchor.
         forbid = used ^ ebit
         cand = rows[end] & ~used
         while cand:
@@ -430,35 +433,11 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
             cand ^= b
             if rows[w] & forbid:
                 continue
-            if m == tm1 or first_arm(w, b, used | b, m + 1):
+            if m == tm1 or arm(w, b, used | b, m + 1, switch):
                 return True
-        if 2 * m >= thr:
-            forbid = used ^ abit
-            cand = rows[anchor] & ~used
-            while cand:
-                w = cand.bit_length() - 1
-                b = 1 << w
-                cand ^= b
-                if rows[w] & forbid:
-                    continue
-                if m == tm1 or second_arm(w, b, used | b, m + 1):
-                    return True
-        return False
+        return m >= switch and arm(anchor, abit, used, m, t)
 
-    def second_arm(end: int, ebit: int, used: int, m: int) -> bool:
-        forbid = used ^ ebit
-        cand = rows[end] & ~used
-        while cand:
-            w = cand.bit_length() - 1
-            b = 1 << w
-            cand ^= b
-            if rows[w] & forbid:
-                continue
-            if m == tm1 or second_arm(w, b, used | b, m + 1):
-                return True
-        return False
-
-    return first_arm(anchor, abit, abit, 1)
+    return arm(anchor, abit, abit, 1, (t + 2) // 2)
 
 
 def contains_induced_through(
@@ -473,98 +452,6 @@ def contains_induced_through(
     return h.n == 0 or any(
         _embed(rows, n, h, order, 1 << anchor) is not None for order in orders
     )
-
-
-# ---------------------------------------------------------------------------
-# canonical forms
-
-
-def canonical_form(g: Graph, vertex_classes: Sequence[int] | None = None) -> bytes:
-    """A canonical byte string for ``g`` with optional vertex classes.
-
-    Two graphs get the same string exactly when some isomorphism between
-    them preserves the given classes.  Classes default to all-zero.  The
-    string is produced by equitable refinement plus individualization,
-    taking the lexicographically smallest discrete encoding.
-    """
-    n = g.n
-    if vertex_classes is None:
-        classes: tuple[int, ...] = (0,) * n
-    else:
-        classes = tuple(vertex_classes)
-        if len(classes) != n:
-            raise ValueError("vertex_classes length must match vertex count")
-        if any(not 0 <= c <= 255 for c in classes):
-            raise ValueError("vertex classes must be small non-negative integers")
-    if n == 0:
-        return bytes([0])
-    cells: list[tuple[int, ...]] = []
-    for value in sorted(set(classes)):
-        cells.append(tuple(v for v in range(n) if classes[v] == value))
-    return _canon_search(g.rows, cells, classes, n)
-
-
-def _refine(rows: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((rows[v] & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
-        cells = new_cells
-        if not changed:
-            return cells
-
-
-def _canon_search(rows, cells, classes, n) -> bytes:
-    cells = _refine(rows, cells)
-    for idx, cell in enumerate(cells):
-        if len(cell) > 1:
-            best = None
-            for v in cell:
-                child = cells[:idx] + [(v,), tuple(u for u in cell if u != v)] + cells[idx + 1:]
-                cand = _canon_search(rows, child, classes, n)
-                if best is None or cand < best:
-                    best = cand
-            return best
-    order = [cell[0] for cell in cells]
-    return _encode_labeled(rows, order, classes, n)
-
-
-def _encode_labeled(rows, order, classes, n) -> bytes:
-    out = bytearray([n])
-    out.extend(classes[v] for v in order)
-    acc = 0
-    nbits = 0
-    for i in range(n):
-        ri = rows[order[i]]
-        for j in range(i + 1, n):
-            acc = acc << 1 | (ri >> order[j] & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -622,28 +509,19 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"adjacency data truncated, need {need} bytes", len(s))
     if len(s) - body_start > need:
         raise Graph6Error("trailing bytes after adjacency data", body_start + need)
+    # Bits come in the writer's column-major order: (0,1), (0,2), (1,2), ...
     rows = [0] * n
-    idx = 0
-    for pos in range(body_start, len(s)):
-        val = ord(s[pos]) - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = val >> shift & 1
-            if idx < nbits:
-                if bit:
-                    # column-major upper triangle: bit idx belongs to pair (i, j)
-                    j = _g6_col(idx)
-                    i = idx - j * (j - 1) // 2
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bits", pos)
-            idx += 1
+    body = iter(s[body_start:])
+    val = left = 0
+    for j in range(1, n):
+        for i in range(j):
+            if not left:
+                val = ord(next(body)) - 63
+                left = 6
+            left -= 1
+            if val >> left & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    if val & ((1 << left) - 1):
+        raise Graph6Error("nonzero padding bits", len(s) - 1)
     return Graph.from_rows(rows)
-
-
-def _g6_col(idx: int) -> int:
-    # Largest j with j*(j-1)/2 <= idx.
-    j = int((2 * idx) ** 0.5) + 2
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    return j

@@ -22,9 +22,10 @@ import multiprocessing
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import (
     Graph,
@@ -45,6 +46,8 @@ P6_REFERENCE_COUNTS = (
 
 MAX_ENUM_LENGTH = 64
 _HARD_LIMIT = 128
+# The driver leaves the subtrees below this length to _worker.
+_SPLIT_DEPTH = 6
 
 _OTHERS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 _SWAP_2_3 = str.maketrans("23", "32")
@@ -195,17 +198,20 @@ def _hits_new_vertex(rows: list[int], n: int, anchor: int, path_ts, other_graphs
 
 
 class _Engine:
-    """Depth-first enumeration with incremental pattern checks."""
+    """Depth-first enumeration with incremental pattern checks.
 
-    def __init__(self, path_ts, other_graphs, max_n, collect, stop_depth=None, hard_limit=None):
+    Configurations of length ``stop_depth`` are not extended; below
+    ``max_n`` they are left in ``tasks`` for :func:`_worker`.
+    """
+
+    def __init__(self, path_ts, other_graphs, max_n, collect, stop_depth):
         self.path_ts = path_ts
         self.other_graphs = other_graphs
         self.max_n = max_n
         self.counts = [0] * max_n
         self.lines: list[tuple[int, str, str]] | None = [] if collect else None
         self.stop_depth = stop_depth
-        self.tasks: list[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = []
-        self.hard_limit = hard_limit
+        self.tasks: list[tuple] = []  # (colors, chords, adjacency rows)
 
     def run_root(self):
         if self.max_n == 0:
@@ -218,23 +224,7 @@ class _Engine:
         extra: list[tuple[int, int]] = []
         if self.lines is not None:
             self._emit(colors, extra)
-        if self.stop_depth is not None and 1 >= self.stop_depth:
-            self.tasks.append(((1,), ()))
-            return
         self._extend(colors, rows, extra)
-
-    def run_from(self, colors: Sequence[int], extra: Sequence[tuple[int, int]]):
-        """Extend below an already-counted configuration."""
-        colors = list(colors)
-        k = len(colors)
-        rows = [0] * k
-        for i in range(k - 1):
-            rows[i] |= 1 << (i + 1)
-            rows[i + 1] |= 1 << i
-        for i0, j0 in extra:
-            rows[i0] |= 1 << j0
-            rows[j0] |= 1 << i0
-        self._extend(colors, rows, list(extra))
 
     def _emit(self, colors, extra):
         cs = "".join(map(str, colors))
@@ -243,7 +233,9 @@ class _Engine:
 
     def _extend(self, colors, rows, extra):
         k = len(colors)
-        if k == self.max_n:
+        if k == self.stop_depth:
+            if k < self.max_n:
+                self.tasks.append((tuple(colors), tuple(extra), tuple(rows)))
             return
         last = colors[-1]
         kbit = 1 << k
@@ -277,7 +269,7 @@ class _Engine:
                 rows.append(row)
                 if not _hits_new_vertex(rows, n, k, path_ts, other_graphs):
                     counts[k] += 1
-                    if self.hard_limit is not None and n >= self.hard_limit:
+                    if n >= _HARD_LIMIT:
                         raise ResourceLimitError(
                             f"configurations reach length {n}; the search looks unbounded"
                         )
@@ -285,10 +277,7 @@ class _Engine:
                         extra.append((i0, k))
                     if self.lines is not None:
                         self._emit(colors, extra)
-                    if self.stop_depth is not None and n >= self.stop_depth:
-                        self.tasks.append((tuple(colors), tuple(extra)))
-                    else:
-                        self._extend(colors, rows, extra)
+                    self._extend(colors, rows, extra)
                     del extra[len(extra) - len(chosen):]
                 rows.pop()
                 for i0 in chosen:
@@ -297,10 +286,11 @@ class _Engine:
             colors.pop()
 
 
-def _worker(args):
-    colors, extra, max_n, path_ts, other_graphs, collect = args
-    eng = _Engine(path_ts, other_graphs, max_n, collect)
-    eng.run_from(colors, extra)
+def _worker(path_ts, other_graphs, max_n, collect, task):
+    """Counts and lines of the whole subtree below one task."""
+    colors, extra, rows = task
+    eng = _Engine(path_ts, other_graphs, max_n, collect, max_n)
+    eng._extend(list(colors), list(rows), list(extra))
     return eng.counts, eng.lines
 
 
@@ -326,37 +316,7 @@ def enumerate_propagation_paths(
         raise ValueError(f"max_n is capped at {MAX_ENUM_LENGTH}, got {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    path_ts, other_graphs = _pack_forbidden(forbidden)
-    collect = emit is not None
-    jobs = min(jobs, os.cpu_count() or 1)
-    split = min(6, max_n - 1)
-    if jobs == 1 or split < 2:
-        eng = _Engine(path_ts, other_graphs, max_n, collect)
-        eng.run_root()
-        counts, lines = eng.counts, eng.lines
-    else:
-        driver = _Engine(path_ts, other_graphs, max_n, collect, stop_depth=split)
-        driver.run_root()
-        counts, lines = driver.counts, driver.lines
-        argss = [
-            (colors, extra, max_n, path_ts, other_graphs, collect)
-            for colors, extra in driver.tasks
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            for wcounts, wlines in pool.imap_unordered(_worker, argss, chunksize=8):
-                for i, c in enumerate(wcounts):
-                    counts[i] += c
-                if collect and wlines:
-                    lines.extend(wlines)
-    counts[1:] = [2 * c for c in counts[1:]]
-    if collect:
-        lines += [(k, cs.translate(_SWAP_2_3), es) for k, cs, es in lines if k > 1]
-        lines.sort()
-        with nullcontext(emit) if hasattr(emit, "write") else open(emit, "w") as sink:
-            for k, group in groupby(lines, key=itemgetter(0)):
-                sink.write("".join(f"{k} {cs} {es}\n" for _, cs, es in group))
-    return EnumerationResult(tuple(counts))
+    return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
 
 
 def max_propagation_length(forbidden: Iterable) -> int:
@@ -366,10 +326,36 @@ def max_propagation_length(forbidden: Iterable) -> int:
     ever reach length 128 the search is presumed unbounded and a
     :class:`ResourceLimitError` is raised.
     """
+    return _enumerate(forbidden, _HARD_LIMIT, None, 1).max_length
+
+
+def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
+    """The search behind both entry points: one driver down to length
+    ``_SPLIT_DEPTH``, then its tasks through :func:`_worker`, in this
+    process for one job and on a process pool for more."""
     path_ts, other_graphs = _pack_forbidden(forbidden)
-    eng = _Engine(path_ts, other_graphs, _HARD_LIMIT, False, hard_limit=_HARD_LIMIT)
-    eng.run_root()
-    return EnumerationResult(tuple(eng.counts)).max_length
+    collect = emit is not None
+    driver = _Engine(path_ts, other_graphs, max_n, collect, min(_SPLIT_DEPTH, max_n))
+    driver.run_root()
+    counts, lines = driver.counts, driver.lines
+    run = partial(_worker, path_ts, other_graphs, max_n, collect)
+    tasks = driver.tasks
+    pool = multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else None
+    with pool or nullcontext():
+        results = pool.imap_unordered(run, tasks, chunksize=8) if pool else map(run, tasks)
+        for wcounts, wlines in results:
+            for i, c in enumerate(wcounts):
+                counts[i] += c
+            if collect:
+                lines.extend(wlines)
+    counts[1:] = [2 * c for c in counts[1:]]
+    if collect:
+        lines += [(k, cs.translate(_SWAP_2_3), es) for k, cs, es in lines if k > 1]
+        lines.sort()
+        with nullcontext(emit) if hasattr(emit, "write") else open(emit, "w") as sink:
+            for k, group in groupby(lines, key=itemgetter(0)):
+                sink.write("".join(f"{k} {cs} {es}\n" for _, cs, es in group))
+    return EnumerationResult(tuple(counts))
 
 
 def parse_emitted_line(line: str) -> PropConfig:

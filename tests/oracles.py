@@ -3,16 +3,19 @@
 Everything here is deliberately naive: exhaustive products over colorings,
 permutation backtracking for isomorphism, subset enumeration for induced
 containment, and a from-scratch filter for propagation configurations.
-None of it shares code with the paths it is used to check.
+The canonical-form search that builds the graph census lives here too,
+since only the tests use it.  None of it shares code with the paths it is
+used to check.
 """
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Sequence
 
 from tricrit.coloring import ListSystem
-from tricrit.graphs import Graph, canonical_form
+from tricrit.graphs import Graph
 
 # Number of isomorphism classes of simple graphs on 0..8 vertices, the
 # standard census values; used to validate the generated class lists.
@@ -84,6 +87,98 @@ def contains_induced_through_brute(g: Graph, h: Graph, a: int) -> bool:
         if is_iso_brute(induced_subgraph(g, (a, *subset)), h):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# canonical forms
+
+
+def canonical_form(g: Graph, vertex_classes: Sequence[int] | None = None) -> bytes:
+    """A canonical byte string for ``g`` with optional vertex classes.
+
+    Two graphs get the same string exactly when some isomorphism between
+    them preserves the given classes.  Classes default to all-zero.  The
+    string is produced by equitable refinement plus individualization,
+    taking the lexicographically smallest discrete encoding.
+    """
+    n = g.n
+    if vertex_classes is None:
+        classes: tuple[int, ...] = (0,) * n
+    else:
+        classes = tuple(vertex_classes)
+        if len(classes) != n:
+            raise ValueError("vertex_classes length must match vertex count")
+        if any(not 0 <= c <= 255 for c in classes):
+            raise ValueError("vertex classes must be small non-negative integers")
+    if n == 0:
+        return bytes([0])
+    cells: list[tuple[int, ...]] = []
+    for value in sorted(set(classes)):
+        cells.append(tuple(v for v in range(n) if classes[v] == value))
+    return _canon_search(g.rows, cells, classes, n)
+
+
+def _refine(rows: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    while True:
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        new_cells: list[tuple[int, ...]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((rows[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(tuple(groups[sig]))
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def _canon_search(rows, cells, classes, n) -> bytes:
+    cells = _refine(rows, cells)
+    for idx, cell in enumerate(cells):
+        if len(cell) > 1:
+            best = None
+            for v in cell:
+                child = cells[:idx] + [(v,), tuple(u for u in cell if u != v)] + cells[idx + 1:]
+                cand = _canon_search(rows, child, classes, n)
+                if best is None or cand < best:
+                    best = cand
+            return best
+    order = [cell[0] for cell in cells]
+    return _encode_labeled(rows, order, classes, n)
+
+
+def _encode_labeled(rows, order, classes, n) -> bytes:
+    out = bytearray([n])
+    out.extend(classes[v] for v in order)
+    acc = 0
+    nbits = 0
+    for i in range(n):
+        ri = rows[order[i]]
+        for j in range(i + 1, n):
+            acc = acc << 1 | (ri >> order[j] & 1)
+            nbits += 1
+            if nbits == 8:
+                out.append(acc)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(acc << (8 - nbits))
+    return bytes(out)
 
 
 @lru_cache(maxsize=None)

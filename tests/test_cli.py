@@ -191,15 +191,20 @@ def test_argparse_failures_exit_2(capsys):
 
 def test_entry_point_installed():
     # The console script when it is installed, else the module entry point
-    # of the package on the import path.
+    # of the package this suite imported, whose directory the child is given.
+    import os
     import shutil
     import subprocess
     import sys
+    from pathlib import Path
+
+    import tricrit
 
     exe = shutil.which("tricrit")
     cmd = [exe] if exe is not None else [sys.executable, "-m", "tricrit"]
+    env = dict(os.environ, PYTHONPATH=str(Path(tricrit.__file__).parent.parent))
     proc = subprocess.run(
-        cmd + ["classify", "--pattern", "P5"], capture_output=True, text=True
+        cmd + ["classify", "--pattern", "P5"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "induced-subgraph-of-P6" in proc.stdout

@@ -18,7 +18,6 @@ from tricrit.dichotomy import (
 )
 from tricrit.graphs import (
     Graph,
-    canonical_form,
     contains_induced,
     cycle_graph,
     disjoint_union,
@@ -26,7 +25,7 @@ from tricrit.graphs import (
     pattern_graph,
 )
 
-from oracles import graphs_upto
+from oracles import canonical_form, graphs_upto
 
 TRUTH_TABLE = {
     "P6": (CASE_SUBGRAPH_OF_P6, True, True),

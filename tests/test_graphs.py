@@ -12,7 +12,6 @@ from tricrit.graphs import (
     Pattern,
     anchored_orders,
     anticomponents,
-    canonical_form,
     claw_graph,
     complete_graph,
     components,
@@ -31,6 +30,7 @@ from tricrit.graphs import (
 )
 
 from oracles import (
+    canonical_form,
     contains_induced_brute,
     contains_induced_through_brute,
     graphs_upto,

@@ -147,6 +147,8 @@ def test_max_length_examples():
     assert max_propagation_length(["P3"]) == 3
     assert enumerate_propagation_paths(["P3"], 5).counts == (1, 2, 2, 0, 0)
     assert max_propagation_length(["P2"]) == 1
+    # Crosses the length-6 split between the driver and its tasks.
+    assert max_propagation_length(["P5"]) == 12
     with pytest.raises(ResourceLimitError):
         max_propagation_length([])
 
@@ -224,6 +226,9 @@ def test_jobs_capped_at_core_count(monkeypatch):
     monkeypatch.setattr(
         "tricrit.propagation.multiprocessing.get_context", lambda kind: Ctx()
     )
+    # One job runs the same task split in this process, without a pool.
+    assert enumerate_propagation_paths(["P6"], 8, jobs=1).counts == P6_REFERENCE_COUNTS[:8]
+    assert calls == []
     r = enumerate_propagation_paths(["P6"], 8, jobs=8)
     assert r.counts == P6_REFERENCE_COUNTS[:8]
     assert calls == [2]
