@@ -182,44 +182,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Obstructions to list 3-coloring: enumeration, families, classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("enumerate", help="count pattern-free propagation paths by length")
+    p = sub.add_parser("enumerate", parents=[fmt],
+                       help="count pattern-free propagation paths by length")
     p.set_defaults(func=cmd_enumerate)
     p.add_argument("--forbidden", action="append", default=[], metavar="PATTERN",
                    help="forbidden pattern name, repeatable")
     p.add_argument("--max-n", type=int, default=25)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--emit", metavar="FILE", help="write accepted configurations here")
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("solve", help="find a list coloring or report UNSAT")
+    p = sub.add_parser("solve", parents=[fmt], help="find a list coloring or report UNSAT")
     p.set_defaults(func=cmd_solve)
     p.add_argument("--graph", required=True, metavar="G6FILE")
     p.add_argument("--lists", metavar="JSONFILE")
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("check", help="full obstruction report for a graph with lists")
+    p = sub.add_parser("check", parents=[fmt],
+                       help="full obstruction report for a graph with lists")
     p.set_defaults(func=cmd_check)
     p.add_argument("--graph", required=True, metavar="G6FILE")
     p.add_argument("--lists", metavar="JSONFILE")
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("critical", help="is the graph 4-vertex-critical?")
+    p = sub.add_parser("critical", parents=[fmt], help="is the graph 4-vertex-critical?")
     p.set_defaults(func=cmd_critical)
     p.add_argument("--graph", required=True, metavar="G6FILE")
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("family", help="emit or verify a certificate family member")
+    p = sub.add_parser("family", parents=[fmt], help="emit or verify a certificate family member")
     p.set_defaults(func=cmd_family)
     p.add_argument("--name", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("classify", help="finite/infinite verdict for a pattern")
+    p = sub.add_parser("classify", parents=[fmt], help="finite/infinite verdict for a pattern")
     p.set_defaults(func=cmd_classify)
     p.add_argument("--pattern", required=True, metavar="NAME_OR_G6")
-    p.add_argument("--format", choices=["table", "json"], default="table")
 
     return parser
 

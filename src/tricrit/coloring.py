@@ -65,9 +65,6 @@ class ListSystem:
     def n(self) -> int:
         return len(self.masks)
 
-    def mask(self, v: int) -> int:
-        return self.masks[v]
-
     def size(self, v: int) -> int:
         return self.masks[v].bit_count()
 
@@ -290,60 +287,30 @@ def update_wrt_set_detailed(
         bound = rounds
     else:
         raise ValueError(f'rounds must be a non-negative integer or "exhaustive", got {rounds!r}')
-    n = g.n
-    grows = g.rows
+    # A forced list never holds more than one color, so clearing a forced
+    # neighbor's whole list is the update rule, and two forced neighbors
+    # with equal lists clash unless both are empty, which counts anyway.
+    rows = g.rows
     masks = list(l.masks)
-    in_x = 0
-    for v in xs:
-        in_x |= 1 << v
+    forced = sum(1 << v for v in xs)
     conflict = False
     done = 0
     while bound is None or done < bound:
-        done += 1
-        prev_masks = masks[:]
-        prev_x = in_x
-        for v in range(n):
-            if prev_x >> v & 1:
-                continue
-            removal = 0
-            m = grows[v] & prev_x
-            while m:
-                b = m & -m
-                m ^= b
-                mu = prev_masks[b.bit_length() - 1]
-                if mu.bit_count() == 1:
-                    removal |= mu
-            masks[v] = prev_masks[v] & ~removal
-        new_x = prev_x
-        for v in range(n):
-            if not prev_x >> v & 1 and masks[v].bit_count() <= 1 and prev_masks[v].bit_count() > 1:
-                new_x |= 1 << v
-        trigger = any(masks[v] == 0 for v in range(n))
-        if not trigger:
-            m = prev_x
-            while m and not trigger:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
-                if masks[u].bit_count() != 1:
-                    continue
-                nb = grows[u] & prev_x & ~((1 << (u + 1)) - 1)
-                while nb:
-                    bb = nb & -nb
-                    nb ^= bb
-                    if masks[bb.bit_length() - 1] == masks[u]:
-                        trigger = True
-                        break
-        if trigger:
+        new = masks[:]
+        grown = forced
+        for v in bits((1 << g.n) - 1 & ~forced):
+            for u in bits(rows[v] & forced):
+                new[v] &= ~masks[u]
+            if new[v].bit_count() <= 1 < masks[v].bit_count():
+                grown |= 1 << v
+        if 0 in new or any(new[w] == new[u] for u in bits(forced) for w in bits(rows[u] & forced)):
             conflict = True
-            for v in range(n):
-                if not new_x >> v & 1:
-                    masks[v] = 0
-        in_x = new_x
-        if in_x == prev_x and masks == prev_masks:
-            done -= 1
+            new = [m if grown >> v & 1 else 0 for v, m in enumerate(new)]
+        if new == masks and grown == forced:
             break
-    return UpdateOutcome(ListSystem(masks), frozenset(bits(in_x)), conflict, done)
+        masks, forced = new, grown
+        done += 1
+    return UpdateOutcome(ListSystem(masks), frozenset(bits(forced)), conflict, done)
 
 
 def update_wrt_set(g: Graph, l: ListSystem, x: Iterable[int], rounds: int | str) -> ListSystem:

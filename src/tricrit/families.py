@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import ListSystem, l_colorable, precolor_and_update, update_along_path
+from .coloring import ListSystem, precolor_and_update, update_along_path
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -123,18 +123,14 @@ def verify_Gr(r: int) -> FamilyReport:
     updated = precolor_and_update(
         gd, ListSystem.full(gd.n), {0: 1, 1: 2, 2: 3}, "exhaustive"
     )
-    sizes_ok = all(updated.size(v) == 1 for v in range(gd.n))
-    proper = False
-    detail = ""
-    if sizes_ok:
-        forced = [updated.colors(v)[0] for v in range(gd.n)]
-        proper = all(forced[a] != forced[b] for a, b in gd.edges())
-        detail = f"last vertex forced to color {forced[-1]}"
+    forced = [cs[0] if len(cs) == 1 else None for cs in updated.to_sets()]
+    ok = None not in forced and all(forced[a] != forced[b] for a, b in gd.edges())
     checks.append(
         PropertyCheck(
             "unique-coloring-after-deleting-v0",
-            sizes_ok and proper,
-            detail if sizes_ok and proper else "propagation did not force a proper coloring",
+            ok,
+            f"last vertex forced to color {forced[-1]}" if ok
+            else "propagation did not force a proper coloring",
         )
     )
 
@@ -195,38 +191,21 @@ def verify_Hr(r: int) -> FamilyReport:
     )
 
     # For every interior vertex, deleting it splits the forcing chain:
-    # color both ends 1 and update along the two remaining arms.  The two
-    # forced half-colorings must cover everything and be proper together,
-    # chords across the split included.
-    ok = True
+    # color both ends 1 and update along the two remaining arms.  Updating
+    # along a path reads only the vertices already passed, so each arm is a
+    # prefix of one pass from its end.  Both arms must be forced and proper
+    # together, chords across the split included.
+    fwd, fwd_ok = update_along_path(g, lists, range(n - 1), 1)
+    bwd, bwd_ok = update_along_path(g, lists, range(n - 1, 0, -1), 1)
     detail = ""
     for mid in range(1, n - 1):
-        keep = [v for v in range(n) if v != mid]
-        gd = induced_subgraph(g, keep)
-        ld = ListSystem(lists.masks[v] for v in keep)
-        forward = list(range(mid))
-        backward = list(range(gd.n - 1, mid - 1, -1))
-        colors: list[int | None] = [None] * gd.n
-        for path in (forward, backward):
-            if not path:
-                continue
-            partial, flags = update_along_path(gd, ld, path, 1)
-            if not all(flags):
-                ok = False
-                detail = f"arm {path} stalls after deleting vertex {mid}"
-                break
-            for v in path:
-                colors[v] = partial[v]
-        if not ok:
-            break
-        if any(c is None for c in colors):
-            ok = False
-            detail = f"uncovered vertex after deleting {mid}"
-            break
-        if any(colors[a] == colors[b] for a, b in gd.edges()):
-            ok = False
+        colors = [fwd[v] if v < mid else bwd[v] for v in range(n)]
+        if not all(fwd_ok[:mid]) or not all(bwd_ok[:n - 1 - mid]):
+            detail = f"an arm stalls after deleting vertex {mid}"
+        elif any(colors[a] == colors[b] for a, b in g.edges() if mid not in (a, b)):
             detail = f"forced halves clash after deleting vertex {mid}"
+        if detail:
             break
-    checks.append(PropertyCheck("two-sided-deletion-colorings", ok, detail))
+    checks.append(PropertyCheck("two-sided-deletion-colorings", not detail, detail))
 
     return FamilyReport("Hr", r, tuple(checks))

@@ -15,10 +15,14 @@ from .graphs import Graph, induced_subgraph
 
 
 def _colorable_without(g: Graph, l: ListSystem, dead: int) -> bool:
-    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?"""
-    keep = [v for v in range(g.n) if not dead >> v & 1]
-    sub = induced_subgraph(g, keep)
-    return l_colorable(sub, ListSystem(l.masks[v] for v in keep)) is not None
+    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?
+
+    Deleted vertices keep their numbers: each becomes isolated with a
+    one-color list, which changes no answer.
+    """
+    rows = [0 if dead >> v & 1 else row & ~dead for v, row in enumerate(g.rows)]
+    masks = [1 if dead >> v & 1 else m for v, m in enumerate(l.masks)]
+    return l_colorable(Graph.from_rows(rows), ListSystem(masks)) is not None
 
 
 def is_obstruction(g: Graph, l: ListSystem) -> bool:

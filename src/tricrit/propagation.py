@@ -118,22 +118,15 @@ def satisfies_condition1(cfg: PropConfig) -> bool:
     A chord (v_i, v_j) with i >= 3 must have c(v_{i-1}) = c(v_j) and the
     colors c(v_i), c(v_j), c(v_{j-1}) pairwise distinct.
     """
-    cs = cfg.colors
-    for i, j in cfg.extra_edges:
-        if i < 3:
-            continue
-        if cs[i - 2] != cs[j - 1]:
-            return False
-        if len({cs[i - 1], cs[j - 1], cs[j - 2]}) != 3:
-            return False
-    return True
+    return all(admissible_edge(cfg, i, j) for i, j in cfg.extra_edges if i >= 3)
 
 
 def admissible_edge(cfg: PropConfig, i: int, j: int) -> bool:
     """May the chord (v_i, v_j) be added to this configuration?
 
-    Requires c(v_i) outside the list at v_j; chords with i >= 3 must also
-    respect forced propagation as in :func:`satisfies_condition1`.
+    Requires c(v_i) outside the list at v_j, which makes c(v_i), c(v_j),
+    c(v_{j-1}) pairwise distinct; chords with i >= 3 must also have
+    c(v_{i-1}) = c(v_j), as in :func:`satisfies_condition1`.
     """
     k = cfg.k
     if not (1 <= i and i < j - 1 and j <= k):
@@ -141,12 +134,7 @@ def admissible_edge(cfg: PropConfig, i: int, j: int) -> bool:
     cs = cfg.colors
     if cs[i - 1] == cs[j - 1] or cs[i - 1] == cs[j - 2]:
         return False
-    if i >= 3:
-        if cs[i - 2] != cs[j - 1]:
-            return False
-        if len({cs[i - 1], cs[j - 1], cs[j - 2]}) != 3:
-            return False
-    return True
+    return i < 3 or cs[i - 2] == cs[j - 1]
 
 
 @dataclass(frozen=True)

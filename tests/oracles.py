@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
-from tricrit.coloring import ListSystem
+from tricrit.coloring import ListSystem, UpdateOutcome
 from tricrit.graphs import Graph
 
 # Number of isomorphism classes of simple graphs on 0..8 vertices, the
@@ -217,6 +217,77 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def random_lists(rng: random.Random, n: int, allow_empty: bool = False) -> ListSystem:
     lo = 0 if allow_empty else 1
     return ListSystem([rng.randint(lo, 7) for _ in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# round-based updating, written out step by step
+
+
+def update_wrt_set_reference(g: Graph, l: ListSystem, x, rounds) -> UpdateOutcome:
+    """Simultaneous update rounds against the forced set ``x``, one step at a time.
+
+    Each round copies the previous lists and forced set, removes from every
+    unforced vertex the colors of its one-color forced neighbors, forces the
+    vertices whose list first drops to at most one color, and on an empty
+    list or two adjacent forced vertices with the same one-color list
+    empties every list outside the forced set.  A round that changes
+    nothing ends the run and is not counted.  Inputs are assumed valid.
+    """
+    n = g.n
+    grows = g.rows
+    masks = list(l.masks)
+    in_x = 0
+    for v in x:
+        in_x |= 1 << v
+    conflict = False
+    done = 0
+    while rounds == "exhaustive" or done < rounds:
+        done += 1
+        prev_masks = masks[:]
+        prev_x = in_x
+        for v in range(n):
+            if prev_x >> v & 1:
+                continue
+            removal = 0
+            m = grows[v] & prev_x
+            while m:
+                b = m & -m
+                m ^= b
+                mu = prev_masks[b.bit_length() - 1]
+                if mu.bit_count() == 1:
+                    removal |= mu
+            masks[v] = prev_masks[v] & ~removal
+        new_x = prev_x
+        for v in range(n):
+            if not prev_x >> v & 1 and masks[v].bit_count() <= 1 and prev_masks[v].bit_count() > 1:
+                new_x |= 1 << v
+        trigger = any(masks[v] == 0 for v in range(n))
+        if not trigger:
+            m = prev_x
+            while m and not trigger:
+                b = m & -m
+                m ^= b
+                u = b.bit_length() - 1
+                if masks[u].bit_count() != 1:
+                    continue
+                nb = grows[u] & prev_x & ~((1 << (u + 1)) - 1)
+                while nb:
+                    bb = nb & -nb
+                    nb ^= bb
+                    if masks[bb.bit_length() - 1] == masks[u]:
+                        trigger = True
+                        break
+        if trigger:
+            conflict = True
+            for v in range(n):
+                if not new_x >> v & 1:
+                    masks[v] = 0
+        in_x = new_x
+        if in_x == prev_x and masks == prev_masks:
+            done -= 1
+            break
+    fixed = frozenset(v for v in range(n) if in_x >> v & 1)
+    return UpdateOutcome(ListSystem(masks), fixed, conflict, done)
 
 
 # ---------------------------------------------------------------------------

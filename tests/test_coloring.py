@@ -20,7 +20,7 @@ from tricrit.coloring import (
 from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import Graph, complete_graph, cycle_graph, induced_subgraph, path_graph
 
-from oracles import brute_l_colorable, random_graph, random_lists
+from oracles import brute_l_colorable, random_graph, random_lists, update_wrt_set_reference
 
 
 def test_list_system_basics():
@@ -244,6 +244,22 @@ def test_update_wrt_set_preserves_solutions(seed, n):
         for v in range(n):
             if v not in out.fixed:
                 assert sol[v] in out.lists.colors(v)
+
+
+@given(
+    st.integers(0, 2**28),
+    st.integers(1, 8),
+    st.sampled_from([0, 1, 2, 3, 4, "exhaustive"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_update_wrt_set_matches_reference(seed, n, rounds):
+    # lists, forced set, conflict flag and round count, against the
+    # step-by-step reference
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
+    l = random_lists(rng, n, allow_empty=True)
+    x = [v for v in range(n) if l.size(v) <= 1 and rng.random() < 0.7]
+    assert update_wrt_set_detailed(g, l, x, rounds) == update_wrt_set_reference(g, l, x, rounds)
 
 
 def test_precolor_and_update_empty_assignment():

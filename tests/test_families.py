@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from tricrit import families
 from tricrit.coloring import ListSystem, l_colorable
 from tricrit.families import FamilyReport, gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from tricrit.graphs import (
+    Graph,
     anchored_orders,
     complete_graph,
     contains_induced,
@@ -159,6 +161,30 @@ def test_verify_Hr_reports():
     ]
     assert verify_Hr(1).passed
     assert verify_Hr(5).passed
+
+
+def test_verifiers_report_broken_members(monkeypatch):
+    # each verifier must fail on a member that lost its defining property
+    def failures(report):
+        return {c.name: c.details for c in report.checks if not c.passed}
+
+    def without(g, edge):
+        return Graph(g.n, [e for e in g.edges() if e != edge])
+
+    g, l = gen_Hr(4)
+    monkeypatch.setattr(families, "gen_Hr", lambda r: (without(g, (1, 6)), l))
+    assert set(failures(verify_Hr(4))) == {"2P3-free"}
+
+    # vertex 1 gets the whole palette, so the arm from vertex 0 stalls at
+    # vertex 1 once vertex 2 is deleted
+    monkeypatch.setattr(families, "gen_Hr", lambda r: (g, l.with_mask(1, 0b111)))
+    failed = failures(verify_Hr(4))
+    assert set(failed) == {"two-sided-deletion-colorings"}
+    assert failed["two-sided-deletion-colorings"].endswith("deleting vertex 2")
+
+    gg = gen_Gr(3)
+    monkeypatch.setattr(families, "gen_Gr", lambda r: without(gg, (0, 1)))
+    assert set(failures(verify_Gr(3))) == {"4-vertex-critical"}
 
 
 def test_family_sanity_battery():
