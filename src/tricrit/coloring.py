@@ -135,7 +135,10 @@ def l_colorable(g: Graph, l: ListSystem) -> tuple[int, ...] | None:
     the lists before it leaves this function.
     """
     _check_dims(g, l)
-    res = _solve(g.rows, list(l.masks), bytearray(g.n), g.n)
+    if 0 in l.masks:
+        return None
+    masks = list(l.masks)
+    res = _solve(g.rows, masks, [v for v in range(g.n) if masks[v].bit_count() == 1])
     if res is None:
         return None
     coloring = tuple(_BIT_COLOR[m] for m in res)
@@ -151,16 +154,12 @@ def l_colorable(g: Graph, l: ListSystem) -> tuple[int, ...] | None:
     return coloring
 
 
-def _solve(rows, masks, decided, n):
-    queue = [v for v in range(n) if not decided[v] and masks[v].bit_count() == 1]
-    for v in range(n):
-        if not masks[v]:
-            return None
+def _solve(rows, masks, queue):
+    # ``queue`` holds the one-color vertices whose color is not yet deleted
+    # from their neighbors' lists.  A clash between two one-color neighbors
+    # shows up as an emptied list.
     while queue:
         v = queue.pop()
-        if decided[v]:
-            continue
-        decided[v] = 1
         bit = masks[v]
         m = rows[v]
         while m:
@@ -169,33 +168,26 @@ def _solve(rows, masks, decided, n):
             u = b.bit_length() - 1
             mu = masks[u]
             if mu & bit:
-                if decided[u]:
-                    return None
                 mu &= ~bit
                 if not mu:
                     return None
                 masks[u] = mu
                 if mu.bit_count() == 1:
                     queue.append(u)
-    pick = -1
-    best = 4
-    for v in range(n):
-        if not decided[v]:
-            s = masks[v].bit_count()
-            if s < best:
-                best = s
-                pick = v
-    if pick < 0:
+    pick = min(
+        (v for v, m in enumerate(masks) if m.bit_count() > 1),
+        key=lambda v: masks[v].bit_count(),
+        default=None,
+    )
+    if pick is None:
         return masks
-    m = masks[pick]
-    while m:
-        b = m & -m
-        m ^= b
-        masks2 = masks[:]
-        masks2[pick] = b
-        res = _solve(rows, masks2, bytearray(decided), n)
-        if res is not None:
-            return res
+    for b in (1, 2, 4):
+        if masks[pick] & b:
+            branch = masks[:]
+            branch[pick] = b
+            res = _solve(rows, branch, [pick])
+            if res is not None:
+                return res
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, find_induced_embedding, linear_forest, pattern_graph
+from .graphs import Graph, find_induced_embedding, induced_subgraph, path_graph, pattern_graph
 
 CASE_CONTAINS_CYCLE = "contains-cycle"
 CASE_CONTAINS_CLAW = "contains-claw"
@@ -70,7 +70,7 @@ def is_induced_subgraph_of_P6(h) -> tuple[int, ...] | None:
     non-edges are both preserved.
     """
     g = pattern_graph(h)
-    return _into_P6(g.n, linear_forest(g))
+    return find_induced_embedding(path_graph(6), g) if g.n <= 6 else None
 
 
 def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
@@ -80,59 +80,17 @@ def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
     4..3+k are the isolated vertices.
     """
     g = pattern_graph(h)
-    return _into_P4kP1(g.n, linear_forest(g))
-
-
-def _into_P6(n: int, paths: list[list[int]] | None) -> tuple[int, ...] | None:
-    if paths is None:
-        return None
-    need = sum(len(p) for p in paths) + max(0, len(paths) - 1)
-    if need > 6:
-        return None
-    image = [-1] * n
-    pos = 0
-    for comp in paths:
-        for v in comp:
-            image[v] = pos
-            pos += 1
-        pos += 1
-    return tuple(image)
-
-
-def _into_P4kP1(n: int, paths: list[list[int]] | None) -> tuple[int, tuple[int, ...]] | None:
-    if paths is None:
-        return None
-    big = [p for p in paths if len(p) >= 2]
-    singles = [p[0] for p in paths if len(p) == 1]
-    if len(big) > 1:
-        return None
-    if big and len(big[0]) > 4:
-        return None
-    image = [-1] * n
-    spares: list[int]
-    if not big:
-        # Positions 0 and 2 of the path are non-adjacent, so two isolated
-        # vertices ride inside the host path for free.
-        k = max(0, len(singles) - 2)
-        spares = [0, 2]
-    else:
-        comp = big[0]
-        for i, v in enumerate(comp):
-            image[v] = i
-        if len(comp) == 2:
-            k = max(0, len(singles) - 1)
-            spares = [3]
-        else:
-            k = len(singles)
-            spares = []
-    nxt = 4
-    for v in singles:
-        if spares:
-            image[v] = spares.pop(0)
-        else:
-            image[v] = nxt
-            nxt += 1
-    return k, tuple(image)
+    # Every vertex with a neighbor must sit on the P4; isolated vertices are
+    # interchangeable, so only how many of them ride on the P4 matters.
+    lone = [v for v in range(g.n) if not g.rows[v]]
+    core = [v for v in range(g.n) if g.rows[v]]
+    for s in range(min(len(lone), 4 - len(core)), -1, -1):
+        on_path = sorted(core + lone[:s])
+        emb = find_induced_embedding(path_graph(4), induced_subgraph(g, on_path))
+        if emb is not None:
+            image = dict(zip(on_path, emb)) | dict(zip(lone[s:], range(4, 4 + g.n)))
+            return len(lone) - s, tuple(image[v] for v in range(g.n))
+    return None
 
 
 def _find_short_cycle(g: Graph) -> tuple[int, ...] | None:
@@ -169,15 +127,14 @@ def classify(h) -> DichotomyVerdict:
     claw or an induced 2P2+P1, searched for in that order.
     """
     g = pattern_graph(h)
-    paths = linear_forest(g)
-    if paths is not None and sorted(map(len, paths)) == [3, 3]:
-        order = tuple(v for comp in paths for v in comp)
-        return DichotomyVerdict(CASE_EQUALS_2P3, True, False, witness=order)
-    res = _into_P4kP1(g.n, paths)
+    emb = find_induced_embedding(g, "2P3") if g.n == 6 else None
+    if emb is not None:
+        return DichotomyVerdict(CASE_EQUALS_2P3, True, False, witness=emb)
+    res = is_induced_subgraph_of_P4kP1(g)
     if res is not None:
         k, emb = res
         return DichotomyVerdict(CASE_SUBGRAPH_OF_P4_KP1, True, True, witness=emb, k=k)
-    emb = _into_P6(g.n, paths)
+    emb = is_induced_subgraph_of_P6(g)
     if emb is not None:
         return DichotomyVerdict(CASE_SUBGRAPH_OF_P6, True, True, witness=emb)
     cyc = _find_short_cycle(g)

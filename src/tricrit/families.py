@@ -67,27 +67,21 @@ def gen_Gr(r: int) -> Graph:
     """The circulant certificate graph on 3r+1 vertices.
 
     Vertex i is joined to i +- 1 and to i + d for every offset d = 3j+2
-    with 0 <= j < r, all mod 3r+1.  The offset set is closed under
-    negation mod 3r+1, which makes the construction symmetric; the degree
-    implied by the offsets is asserted as a self-check.
+    with 0 <= j < r, all mod 3r+1.  Those offsets are exactly the ones in
+    2..3r that are 2 mod 3, and 3r+1 - d is 2 mod 3 whenever d is, so for
+    i < j the edge rule reads off j - i alone.  The degree r + 2 is
+    asserted as a self-check.
     """
     if r < 1:
         raise ValueError(f"family parameter must be at least 1, got {r}")
     n = 3 * r + 1
     if n > MAX_VERTICES:
         raise ValueError(f"3r+1 = {n} exceeds the supported maximum of {MAX_VERTICES} vertices")
-    offsets = {1, n - 1}
-    for j in range(r):
-        offsets.add(3 * j + 2)
-        offsets.add(n - (3 * j + 2))
-    edges = set()
-    for i in range(n):
-        for d in offsets:
-            a, b = i, (i + d) % n
-            edges.add((min(a, b), max(a, b)))
-    g = Graph(n, sorted(edges))
-    expected_degree = len(offsets)
-    if any(g.degree(v) != expected_degree for v in range(n)):
+    g = Graph(n, [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if j - i in (1, n - 1) or (j - i) % 3 == 2
+    ])
+    if any(g.degree(v) != r + 2 for v in range(n)):
         raise AssertionError("circulant degree self-check failed")
     return g
 

@@ -365,28 +365,10 @@ def contains_induced(g: Graph, h) -> bool:
     return find_induced_embedding(g, hg) is not None
 
 
-def linear_forest(h: Graph) -> list[list[int]] | None:
-    """The components of ``h``, ordered by minimum vertex, each in path
-    order from its lower end; None if some component is not a path."""
-    out = []
-    for comp in components(h):
-        ends = [v for v in comp if h.degree(v) < 2]
-        if not ends or any(h.degree(v) > 2 for v in comp):
-            return None
-        walk = [ends[0]]
-        seen = 1 << ends[0]
-        while len(walk) < len(comp):
-            nxt = h.rows[walk[-1]] & ~seen
-            walk.append(nxt.bit_length() - 1)
-            seen |= nxt
-        out.append(walk)
-    return out
-
-
 def _as_path_length(h: Graph) -> int | None:
     """If h is a path, its vertex count, else None."""
-    forest = linear_forest(h)
-    return h.n if forest is not None and len(forest) == 1 else None
+    is_tree = h.edge_count() == h.n - 1 and len(components(h)) == 1
+    return h.n if is_tree and max(map(int.bit_count, h.rows)) <= 2 else None
 
 
 def has_induced_path(g: Graph, t: int) -> bool:

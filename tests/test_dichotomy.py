@@ -21,11 +21,12 @@ from tricrit.graphs import (
     contains_induced,
     cycle_graph,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     pattern_graph,
 )
 
-from oracles import canonical_form, graphs_upto
+from oracles import canonical_form, contains_induced_brute, graphs_upto
 
 TRUTH_TABLE = {
     "P6": (CASE_SUBGRAPH_OF_P6, True, True),
@@ -69,15 +70,25 @@ def test_supergraph_of_infinite_pattern_is_infinite():
     assert v3.case == CASE_CONTAINS_2P2_P1
 
 
+def _is_embedding(host: Graph, h: Graph, emb) -> bool:
+    """Does ``emb`` map ``h`` injectively into ``host``, keeping edges and non-edges?"""
+    if len(emb) != h.n or len(set(emb)) != h.n or not all(0 <= x < host.n for x in emb):
+        return False
+    return all(
+        h.has_edge(a, b) == host.has_edge(emb[a], emb[b])
+        for a in range(h.n)
+        for b in range(a + 1, h.n)
+    )
+
+
+def _p4kp1(k: int) -> Graph:
+    return disjoint_union(path_graph(4), Graph(k))
+
+
 def test_p6_embedding_op():
     assert is_induced_subgraph_of_P6(path_graph(6)) == (0, 1, 2, 3, 4, 5)
-    emb = is_induced_subgraph_of_P6(_pattern("P3+P2"))
-    assert emb is not None
-    host = path_graph(6)
     h = _pattern("P3+P2")
-    for a in range(h.n):
-        for b in range(a + 1, h.n):
-            assert h.has_edge(a, b) == host.has_edge(emb[a], emb[b])
+    assert _is_embedding(path_graph(6), h, is_induced_subgraph_of_P6(h))
     assert is_induced_subgraph_of_P6(path_graph(7)) is None
     assert is_induced_subgraph_of_P6(pattern_graph("2P2+P1")) is None
     assert is_induced_subgraph_of_P6(cycle_graph(3)) is None
@@ -91,12 +102,20 @@ def test_p4kp1_embedding_op():
     assert got is not None and got[0] == 1
     assert is_induced_subgraph_of_P4kP1(path_graph(5)) is None
     assert is_induced_subgraph_of_P4kP1(pattern_graph("P3")) == (0, (0, 1, 2))
-    k, emb = is_induced_subgraph_of_P4kP1(_pattern("P4+3P1"))
-    host = disjoint_union(path_graph(4), Graph(k))
     h = _pattern("P4+3P1")
-    for a in range(h.n):
-        for b in range(a + 1, h.n):
-            assert h.has_edge(a, b) == host.has_edge(emb[a], emb[b])
+    k, emb = is_induced_subgraph_of_P4kP1(h)
+    assert _is_embedding(_p4kp1(k), h, emb)
+    # Isolated vertices are interchangeable, so many of them stay cheap.
+    for h, k in [
+        (Graph(128), 126),
+        (disjoint_union(path_graph(2), Graph(100)), 99),
+        (disjoint_union(path_graph(3), Graph(60)), 60),
+        (pattern_graph("P4+120P1"), 120),
+    ]:
+        got = is_induced_subgraph_of_P4kP1(h)
+        assert got is not None and got[0] == k
+        assert len(set(got[1])) == h.n and max(got[1]) < 4 + k
+    assert classify(Graph(40)).k == 38
 
 
 def test_verdict_shapes():
@@ -117,17 +136,11 @@ def test_describe_is_a_sentence():
 
 
 def _direct_case_facts(h: Graph):
-    has_cycle = any(contains_induced(h, cycle_graph(g)) for g in range(3, max(4, h.n + 1)))
+    girth = next((t for t in range(3, h.n + 1) if contains_induced(h, cycle_graph(t))), None)
     has_claw = contains_induced(h, pattern_graph("claw"))
     has_2p2p1 = contains_induced(h, pattern_graph("2P2+P1"))
     is_2p3 = h.n == 6 and canonical_form(h) == canonical_form(pattern_graph("2P3"))
-    in_p6 = contains_induced(path_graph(6), h)
-    min_k = None
-    for k in range(11):
-        if contains_induced(disjoint_union(path_graph(4), Graph(k)), h):
-            min_k = k
-            break
-    return has_cycle, has_claw, has_2p2p1, is_2p3, in_p6, min_k
+    return girth, has_claw, has_2p2p1, is_2p3
 
 
 def test_classify_agrees_with_host_containment_exhaustively():
@@ -140,14 +153,20 @@ def test_classify_agrees_with_host_containment_exhaustively():
         CASE_SUBGRAPH_OF_P6: (True, True),
         CASE_SUBGRAPH_OF_P4_KP1: (True, True),
     }
+    witness_pattern = {
+        CASE_EQUALS_2P3: "2P3",
+        CASE_CONTAINS_CLAW: "claw",
+        CASE_CONTAINS_2P2_P1: "2P2+P1",
+    }
     seen_cases = set()
+    finite_hosts = 0
     for h in graphs_upto(8):
         v = classify(h)
         assert v.case in ALL_CASES
         seen_cases.add(v.case)
         assert (v.finite_vertex_critical, v.finite_list_obstructions) == flags_for[v.case]
-        has_cycle, has_claw, has_2p2p1, is_2p3, in_p6, min_k = _direct_case_facts(h)
-        if has_cycle:
+        girth, has_claw, has_2p2p1, is_2p3 = _direct_case_facts(h)
+        if girth is not None:
             assert v.case == CASE_CONTAINS_CYCLE
         elif has_claw:
             assert v.case == CASE_CONTAINS_CLAW
@@ -157,17 +176,32 @@ def test_classify_agrees_with_host_containment_exhaustively():
             assert v.case == CASE_EQUALS_2P3
         else:
             assert v.case in (CASE_SUBGRAPH_OF_P6, CASE_SUBGRAPH_OF_P4_KP1)
-            if v.case == CASE_SUBGRAPH_OF_P6:
-                assert in_p6
+        if v.finite_vertex_critical:
+            # The finite hosts, decided by subset enumeration rather than by
+            # the matcher that classify uses.  P4+nP1 holds h if any P4+kP1
+            # does.
+            finite_hosts += 1
+            if v.case == CASE_EQUALS_2P3:
+                assert contains_induced_brute(pattern_graph("2P3"), h)
+            elif v.case == CASE_SUBGRAPH_OF_P6:
+                assert contains_induced_brute(path_graph(6), h)
+                assert not contains_induced_brute(_p4kp1(h.n), h)
             else:
-                assert v.k == min_k
-        if v.case == CASE_SUBGRAPH_OF_P4_KP1:
-            host = disjoint_union(path_graph(4), Graph(v.k))
-            emb = v.witness
-            for a in range(h.n):
-                for b in range(a + 1, h.n):
-                    assert h.has_edge(a, b) == host.has_edge(emb[a], emb[b])
+                assert contains_induced_brute(_p4kp1(v.k), h)
+                assert v.k == 0 or not contains_induced_brute(_p4kp1(v.k - 1), h)
+        if v.case == CASE_CONTAINS_CYCLE:
+            w = v.witness
+            assert len(w) == girth and len(set(w)) == len(w)
+            assert all(h.has_edge(w[i - 1], w[i]) for i in range(len(w)))
+            assert induced_subgraph(h, w).edge_count() == len(w)  # chordless
+        elif v.case == CASE_SUBGRAPH_OF_P6:
+            assert _is_embedding(path_graph(6), h, v.witness)
+        elif v.case == CASE_SUBGRAPH_OF_P4_KP1:
+            assert _is_embedding(_p4kp1(v.k), h, v.witness)
+        else:
+            assert _is_embedding(h, pattern_graph(witness_pattern[v.case]), v.witness)
     assert seen_cases == set(ALL_CASES)
+    assert finite_hosts == 32
 
 
 def test_verdict_validation():
