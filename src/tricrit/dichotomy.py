@@ -40,7 +40,9 @@ class DichotomyVerdict:
     says the same about minimal list obstructions.  ``witness`` is the
     embedded forbidden structure for the infinite cases, or the embedding
     into the host path(s) for the finite cases.  ``k`` is the minimal k
-    for the P4+kP1 case.
+    for the P4+kP1 case.  That host has 4 + k vertices, which can exceed
+    ``MAX_VERTICES``: ``classify(Graph(128))`` gives k = 126, so the host
+    cannot always be built as a :class:`Graph` or parsed as a pattern.
     """
 
     case: str

@@ -144,24 +144,12 @@ def gen_Hr(r: int) -> tuple[Graph, ListSystem]:
     n = 3 * r - 1
     if n > MAX_VERTICES:
         raise ValueError(f"3r-1 = {n} exceeds the supported maximum of {MAX_VERTICES} vertices")
-    edges = [(p, p + 1) for p in range(n - 1)]
-    for i in range(1, n + 1):
-        if i % 3 != 2:
-            continue
-        for j in range(i + 2, n + 1):
-            if j % 3 == 1:
-                edges.append((i - 1, j - 1))
-    g = Graph(n, edges)
-    sets: list[tuple[int, ...]] = []
-    for p in range(1, n + 1):
-        if p == 1 or p == n:
-            sets.append((1,))
-        elif p % 3 == 0:
-            sets.append((2, 3))
-        elif p % 3 == 1:
-            sets.append((1, 3))
-        else:
-            sets.append((1, 2))
+    g = Graph(n, [
+        (a - 1, b - 1) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+        if b == a + 1 or (a % 3 == 2 and b % 3 == 1)
+    ])
+    interior = ((2, 3), (1, 3), (1, 2))  # by p mod 3
+    sets = [(1,)] + [interior[p % 3] for p in range(2, n)] + [(1,)]
     return g, ListSystem.from_sets(sets)
 
 
@@ -191,12 +179,13 @@ def verify_Hr(r: int) -> FamilyReport:
     # together, chords across the split included.
     fwd, fwd_ok = update_along_path(g, lists, range(n - 1), 1)
     bwd, bwd_ok = update_along_path(g, lists, range(n - 1, 0, -1), 1)
+    edges = g.edges()
     detail = ""
     for mid in range(1, n - 1):
         colors = [fwd[v] if v < mid else bwd[v] for v in range(n)]
         if not all(fwd_ok[:mid]) or not all(bwd_ok[:n - 1 - mid]):
             detail = f"an arm stalls after deleting vertex {mid}"
-        elif any(colors[a] == colors[b] for a, b in g.edges() if mid not in (a, b)):
+        elif any(colors[a] == colors[b] for a, b in edges if mid not in (a, b)):
             detail = f"forced halves clash after deleting vertex {mid}"
         if detail:
             break

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import ListSystem, l_colorable
+from .coloring import ListSystem, l_colorable, lists_to_json
 from .graphs import Graph, induced_subgraph
 
 
@@ -102,8 +102,6 @@ class ObstructionReport:
     extracted: tuple[tuple[int, ...], Graph, ListSystem] | None
 
     def to_json_dict(self) -> dict:
-        from .coloring import lists_to_json
-
         out: dict = {
             "colorable": self.colorable,
             "witness": list(self.witness) if self.witness is not None else None,

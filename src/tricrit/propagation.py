@@ -30,6 +30,7 @@ from typing import Iterable
 from .graphs import (
     Graph,
     anchored_orders,
+    bits,
     contains_induced_through,
     has_induced_path_through,
     pattern_graph,
@@ -128,13 +129,20 @@ def admissible_edge(cfg: PropConfig, i: int, j: int) -> bool:
     c(v_{j-1}) pairwise distinct; chords with i >= 3 must also have
     c(v_{i-1}) = c(v_j), as in :func:`satisfies_condition1`.
     """
-    k = cfg.k
-    if not (1 <= i and i < j - 1 and j <= k):
-        raise ValueError(f"chord ({i}, {j}) is not a valid non-consecutive pair for k={k}")
-    cs = cfg.colors
-    if cs[i - 1] == cs[j - 1] or cs[i - 1] == cs[j - 2]:
-        return False
-    return i < 3 or cs[i - 2] == cs[j - 1]
+    if not (1 <= i and i < j - 1 and j <= cfg.k):
+        raise ValueError(f"chord ({i}, {j}) is not a valid non-consecutive pair for k={cfg.k}")
+    return i - 1 in _chord_starts(cfg.colors[:j - 1], cfg.colors[j - 1])
+
+
+def _chord_starts(colors, alpha: int) -> list[int]:
+    """0-based starts of the admissible chords to a new vertex of color
+    ``alpha`` appended after ``colors``: the rule of :func:`admissible_edge`."""
+    last = colors[-1]
+    return [
+        i0
+        for i0 in range(len(colors) - 1)
+        if colors[i0] != alpha and colors[i0] != last and (i0 < 2 or colors[i0 - 1] == alpha)
+    ]
 
 
 @dataclass(frozen=True)
@@ -188,8 +196,10 @@ def _hits_new_vertex(rows: list[int], n: int, anchor: int, path_ts, other_graphs
 class _Engine:
     """Depth-first enumeration with incremental pattern checks.
 
-    Configurations of length ``stop_depth`` are not extended; below
-    ``max_n`` they are left in ``tasks`` for :func:`_worker`.
+    A configuration is its colors and its adjacency bitmask rows; its
+    chords are the bits j >= i + 2 of ``rows[i]``.  Configurations of
+    length ``stop_depth`` are not extended; below ``max_n`` they are left
+    in ``tasks`` for :func:`_worker`.
     """
 
     def __init__(self, path_ts, other_graphs, max_n, collect, stop_depth):
@@ -199,86 +209,67 @@ class _Engine:
         self.counts = [0] * max_n
         self.lines: list[tuple[int, str, str]] | None = [] if collect else None
         self.stop_depth = stop_depth
-        self.tasks: list[tuple] = []  # (colors, chords, adjacency rows)
+        self.tasks: list[tuple] = []  # (colors, adjacency rows)
 
     def run_root(self):
-        if self.max_n == 0:
-            return
-        colors = [1]
-        rows = [0]
-        if _hits_new_vertex(rows, 1, 0, self.path_ts, self.other_graphs):
-            return
-        self.counts[0] += 1
-        extra: list[tuple[int, int]] = []
-        if self.lines is not None:
-            self._emit(colors, extra)
-        self._extend(colors, rows, extra)
+        if self.max_n and not _hits_new_vertex([0], 1, 0, self.path_ts, self.other_graphs):
+            self.counts[0] += 1
+            if self.lines is not None:
+                self._emit([1], [0])
+            self._extend([1], [0])
 
-    def _emit(self, colors, extra):
+    def _emit(self, colors, rows):
         cs = "".join(map(str, colors))
-        es = ",".join(f"{i + 1}-{j + 1}" for i, j in sorted(extra)) if extra else "-"
-        self.lines.append((len(colors), cs, es))
+        es = ",".join(
+            f"{i + 1}-{j + 1}" for i, row in enumerate(rows) for j in bits(row & -(4 << i))
+        )
+        self.lines.append((len(colors), cs, es or "-"))
 
-    def _extend(self, colors, rows, extra):
+    def _extend(self, colors, rows):
         k = len(colors)
         if k == self.stop_depth:
             if k < self.max_n:
-                self.tasks.append((tuple(colors), tuple(extra), tuple(rows)))
+                self.tasks.append((tuple(colors), tuple(rows)))
             return
-        last = colors[-1]
         kbit = 1 << k
-        prev_bit = 1 << (k - 1)
         counts = self.counts
         path_ts = self.path_ts
         other_graphs = self.other_graphs
+        rows[k - 1] |= kbit
         # c(v_2) = 3 is the 2<->3 mirror of c(v_2) = 2; the caller counts it.
-        for alpha in (2,) if k == 1 else _OTHERS[last]:
-            adm = [
-                i0
-                for i0 in range(k - 1)
-                if colors[i0] != alpha
-                and colors[i0] != last
-                and (i0 < 2 or colors[i0 - 1] == alpha)
-            ]
+        for alpha in (2,) if k == 1 else _OTHERS[colors[-1]]:
+            adm = _chord_starts(colors, alpha)
             colors.append(alpha)
-            rows[k - 1] |= kbit
+            rows.append(1 << (k - 1))
             n = k + 1
+            # Chord subsets in Gray-code order: one chord flips per subset,
+            # and the last subset still holds one chord, cleared below.
             for sub in range(1 << len(adm)):
-                row = prev_bit
-                chosen = []
-                s = sub
-                while s:
-                    low = s & -s
-                    s ^= low
-                    i0 = adm[low.bit_length() - 1]
-                    row |= 1 << i0
-                    rows[i0] |= kbit
-                    chosen.append(i0)
-                rows.append(row)
+                if sub:
+                    i0 = adm[(sub & -sub).bit_length() - 1]
+                    rows[i0] ^= kbit
+                    rows[k] ^= 1 << i0
                 if not _hits_new_vertex(rows, n, k, path_ts, other_graphs):
                     counts[k] += 1
                     if n >= _HARD_LIMIT:
                         raise ResourceLimitError(
                             f"configurations reach length {n}; the search looks unbounded"
                         )
-                    for i0 in chosen:
-                        extra.append((i0, k))
                     if self.lines is not None:
-                        self._emit(colors, extra)
-                    self._extend(colors, rows, extra)
-                    del extra[len(extra) - len(chosen):]
-                rows.pop()
-                for i0 in chosen:
-                    rows[i0] &= ~kbit
-            rows[k - 1] &= ~kbit
+                        self._emit(colors, rows)
+                    self._extend(colors, rows)
+            for i0 in adm:
+                rows[i0] &= ~kbit
+            rows.pop()
             colors.pop()
+        rows[k - 1] &= ~kbit
 
 
 def _worker(path_ts, other_graphs, max_n, collect, task):
     """Counts and lines of the whole subtree below one task."""
-    colors, extra, rows = task
+    colors, rows = task
     eng = _Engine(path_ts, other_graphs, max_n, collect, max_n)
-    eng._extend(list(colors), list(rows), list(extra))
+    eng._extend(list(colors), list(rows))
     return eng.counts, eng.lines
 
 

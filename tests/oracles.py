@@ -319,18 +319,24 @@ def config_graph(k: int, chords) -> Graph:
     return Graph(k, edges)
 
 
-def brute_count_configs(forbidden_graphs: list[Graph], k: int) -> int:
-    """Count admissible pattern-free configurations of length exactly k."""
-    pairs = [(i, j) for j in range(1, k + 1) for i in range(1, j - 1)]
-    count = 0
+def brute_configs(forbidden_graphs: list[Graph], k: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """Every admissible pattern-free configuration of length exactly k, as
+    (colors, chords) with 1-based chords in increasing (i, j) order."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 2, k + 1)]
+    out = []
     for cs in config_color_seqs(k):
         ok_pairs = [p for p in pairs if chord_ok(cs, *p)]
         for mask in range(1 << len(ok_pairs)):
-            chosen = [ok_pairs[t] for t in range(len(ok_pairs)) if mask >> t & 1]
+            chosen = tuple(ok_pairs[t] for t in range(len(ok_pairs)) if mask >> t & 1)
             g = config_graph(k, chosen)
             if not any(contains_induced_brute(g, h) for h in forbidden_graphs):
-                count += 1
-    return count
+                out.append((cs, chosen))
+    return out
+
+
+def brute_count_configs(forbidden_graphs: list[Graph], k: int) -> int:
+    """Count admissible pattern-free configurations of length exactly k."""
+    return len(brute_configs(forbidden_graphs, k))
 
 
 def assert_minimal_obstruction_sane(g: Graph, lists: ListSystem):

@@ -19,7 +19,7 @@ from tricrit.propagation import (
     shape,
 )
 
-from oracles import brute_count_configs, chord_ok, config_graph, contains_induced_brute
+from oracles import brute_configs, brute_count_configs, chord_ok, config_graph, contains_induced_brute
 
 
 def test_prop_config_validation():
@@ -78,18 +78,19 @@ def test_admissible_edge_examples():
 
 
 def test_admissible_edge_matches_independent_restatement():
-    # every color sequence of length 6, every chord: the library predicate
-    # and the test-local restatement agree
+    # every color sequence of length 3..9, every chord: the library
+    # predicate (the search's own rule) and the test-local restatement agree
     import itertools
 
-    for tail in itertools.product((1, 2, 3), repeat=5):
-        cs = (1,) + tail
-        if any(a == b for a, b in zip(cs, cs[1:])):
-            continue
-        cfg = PropConfig(cs)
-        for j in range(3, 7):
-            for i in range(1, j - 1):
-                assert admissible_edge(cfg, i, j) == chord_ok(cs, i, j)
+    for k in range(3, 10):
+        for tail in itertools.product((1, 2, 3), repeat=k - 1):
+            cs = (1,) + tail
+            if any(a == b for a, b in zip(cs, cs[1:])):
+                continue
+            cfg = PropConfig(cs)
+            for j in range(3, k + 1):
+                for i in range(1, j - 1):
+                    assert admissible_edge(cfg, i, j) == chord_ok(cs, i, j), (cs, i, j)
 
 
 def test_enumeration_result_accessors():
@@ -176,6 +177,22 @@ def test_emitted_stream_is_valid_and_complete():
         g = config_graph(cfg.k, cfg.extra_edges)
         assert not contains_induced_brute(g, p6), line
     assert tuple(per_length) == r.counts
+
+
+def test_emitted_stream_matches_brute_force():
+    # The whole stream, chord order inside each line included, on
+    # chord-rich configurations: no pattern at all, and 2P3, which the
+    # generic anchored matcher checks.  Length 7 reaches the worker tasks.
+    for names, max_n in (([], 6), (["2P3"], 7)):
+        patterns = [pattern_graph(x) for x in names]
+        expected = sorted(
+            (k, "".join(map(str, cs)), ",".join(f"{i}-{j}" for i, j in chords) or "-")
+            for k in range(1, max_n + 1)
+            for cs, chords in brute_configs(patterns, k)
+        )
+        buf = io.StringIO()
+        enumerate_propagation_paths(names, max_n, emit=buf)
+        assert buf.getvalue() == "".join(f"{k} {cs} {es}\n" for k, cs, es in expected), names
 
 
 def test_counts_deterministic_across_workers(monkeypatch):
