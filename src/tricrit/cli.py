@@ -1,13 +1,16 @@
 """Command line front end.
 
 Exit codes follow one convention everywhere: 0 when the queried property
-holds or a coloring was found, 1 when it fails or no coloring exists, and
-2 for unusable input (bad flags, bad pattern names, malformed files).
+holds or a coloring was found, 1 when it fails or no coloring exists,
+2 for unusable input (bad flags, bad pattern names, malformed files), and
+141, as a shell reports a process ended by SIGPIPE, when the reader of the
+output closed it early (``tricrit enumerate --emit /dev/stdout | head``).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coloring import ListSystem, l_colorable, lists_from_json, lists_to_json
@@ -232,6 +235,10 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at the null device so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def entry():

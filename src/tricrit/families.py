@@ -19,16 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import ListSystem, precolor_and_update, update_along_path
-from .graphs import (
-    MAX_VERTICES,
-    Graph,
-    anchored_orders,
-    contains_induced_through,
-    find_induced_embedding,
-    has_induced_path_through,
-    induced_subgraph,
-    pattern_graph,
-)
+from .graphs import MAX_VERTICES, Graph, PatternSearch, find_induced_embedding, induced_subgraph
 from .obstructions import is_4_vertex_critical, is_minimal_obstruction
 
 
@@ -98,16 +89,11 @@ def verify_Gr(r: int) -> FamilyReport:
 
     # G_r is circulant: rotating by -u maps an induced copy through u onto
     # one through vertex 0, so searching through vertex 0 decides freeness.
-    h = pattern_graph("2P2+P1")
-    found = contains_induced_through(g.rows, n, h, anchored_orders(h), 0)
-    checks.append(
-        PropertyCheck("2P2+P1-free", not found, "induced copy through vertex 0" if found else "")
-    )
-
-    found = has_induced_path_through(g.rows, 0, 7)
-    checks.append(
-        PropertyCheck("P7-free", not found, "induced copy through vertex 0" if found else "")
-    )
+    for name in ("2P2+P1", "P7"):
+        found = PatternSearch(name).through(g.rows, (1 << n) - 1, 0)
+        checks.append(
+            PropertyCheck(f"{name}-free", not found, "induced copy through vertex 0" if found else "")
+        )
 
     # Deleting vertex 0 leaves a uniquely 3-colorable graph: pin the
     # triangle on the first three remaining vertices and propagate to the

@@ -8,6 +8,7 @@ operations.  Everything here is exact and deterministic; the size cap of
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 128
@@ -276,65 +277,113 @@ def anticomponents(g: Graph) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # induced-pattern detection
+#
+# Every check asks for an induced copy of a pattern that uses one anchor
+# vertex, among the live vertices ``alive`` of a graph given by its raw
+# adjacency rows.  The rows of live vertices must hold only live vertices;
+# the rows are trusted otherwise, so enumeration loops can check without
+# building Graph objects.
 
 def _match_order(h: Graph, start: int) -> tuple[int, ...]:
     # Start from ``start``, then prefer vertices with many already placed
-    # neighbors so the backtracking stays connected where possible.
+    # neighbors, then high degree, so the backtracking stays connected
+    # where possible.
+    rows = h.rows
     order = [start]
     placed = 1 << start
-    while len(order) < h.n:
-        best = max(
-            (v for v in range(h.n) if not placed >> v & 1),
-            key=lambda v: ((h.rows[v] & placed).bit_count(), h.degree(v)),
-        )
+    rest = [v for v in range(h.n) if v != start]
+    while rest:
+        best = max(rest, key=lambda v: ((rows[v] & placed).bit_count(), rows[v].bit_count()))
+        rest.remove(best)
         order.append(best)
         placed |= 1 << best
     return tuple(order)
 
 
-def anchored_orders(h: Graph) -> tuple[tuple[int, ...], ...]:
-    """One match order per pattern vertex p, the p-th starting at p."""
-    return tuple(_match_order(h, p) for p in range(h.n))
+class PatternSearch:
+    """The anchored check for one pattern, built once per pattern.
+
+    A path goes to the walker :func:`has_induced_path_through`; any other
+    pattern goes to the matcher :func:`_embed`, once with each pattern
+    vertex on the anchor.  Instances pickle, so worker processes can share
+    them.
+    """
+
+    __slots__ = ("h", "path", "orders")
+
+    def __init__(self, h):
+        self.h = pattern_graph(h)
+        self.path = _as_path_length(self.h)
+        # The p-th order starts at pattern vertex p.  The empty pattern has
+        # one empty order, so every anchor holds a copy of it.
+        self.orders = tuple(_match_order(self.h, p) for p in range(self.h.n)) or ((),)
+
+    def through(self, rows: Sequence[int], alive: int, anchor: int) -> bool:
+        """Is there an induced copy among ``alive`` that uses ``anchor``?"""
+        if self.path is not None:
+            return has_induced_path_through(rows, anchor, self.path)
+        return self.embedding(rows, alive, anchor) is not None
+
+    def embedding(self, rows: Sequence[int], alive: int, anchor: int) -> list[int] | None:
+        """The matcher's image of a copy that uses ``anchor``, or None."""
+        for order in self.orders:
+            image = _embed(rows, alive, self.h, order, anchor)
+            if image is not None:
+                return image
+        return None
+
+
+# Repeated whole-graph queries share one search per pattern graph.
+_search = lru_cache(PatternSearch)
+
+
+def _anchors(g: Graph):
+    """The whole-graph anchor loop: yields (rows, alive, v) for each v.
+
+    A caller that asks for the next anchor found no copy through v, so v
+    lies on no copy at all: it leaves ``alive`` and the rows (updated in
+    place) before the next search, which never revisits a copy through v.
+    """
+    rows = list(g.rows)
+    alive = (1 << g.n) - 1
+    for v in range(g.n):
+        yield rows, alive, v
+        alive ^= 1 << v
+        for u in bits(rows[v]):
+            rows[u] ^= 1 << v
 
 
 def _embed(
-    grows: Sequence[int], n: int, h: Graph, order: Sequence[int], first: int
+    rows: Sequence[int], alive: int, h: Graph, order: Sequence[int], anchor: int
 ) -> list[int] | None:
-    """Backtracking search for an induced embedding of h into the graph
-    with adjacency rows ``grows`` on vertices 0..n-1.
+    """Backtracking search for an induced copy of ``h`` among the vertices
+    of the bitmask ``alive``, with ``order[0]`` on ``anchor``.
 
-    Pattern vertices are placed in ``order``; ``order[0]`` goes on a vertex
-    of the bitmask ``first`` and every later one on any unused vertex, each
-    tried lowest first.  Returns the image list indexed by pattern vertex,
-    or None.
+    Pattern vertices are placed in ``order``.  Each later one goes on an
+    unused live vertex in the row of every placed pattern neighbour and in
+    the row of no placed non-neighbour, tried lowest first; so its
+    candidates come from a neighbour's row whenever it has a placed
+    neighbour.  Returns the image list indexed by pattern vertex, or None.
     """
     hn = h.n
-    if hn > n:
+    if hn > alive.bit_count():
         return None
     image = [-1] * hn
     hrows = h.rows
-    full = (1 << n) - 1
 
     def place(k: int, used: int) -> bool:
         if k == hn:
             return True
         p = order[k]
-        adj_req = 0
-        non_req = 0
+        cand = alive & ~used if k else 1 << anchor
         for q in order[:k]:
-            if hrows[p] >> q & 1:
-                adj_req |= 1 << image[q]
-            else:
-                non_req |= 1 << image[q]
-        cand = first if k == 0 else ~used & full
+            cand &= rows[image[q]] if hrows[p] >> q & 1 else ~rows[image[q]]
         while cand:
             b = cand & -cand
             cand ^= b
-            u = b.bit_length() - 1
-            if grows[u] & adj_req == adj_req and not grows[u] & non_req:
-                image[p] = u
-                if place(k + 1, used | b):
-                    return True
+            image[p] = b.bit_length() - 1
+            if place(k + 1, used | b):
+                return True
         return False
 
     return image if place(0, 0) else None
@@ -344,25 +393,22 @@ def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:
     """An induced embedding of pattern ``h`` into ``g``, or None.
 
     The embedding preserves both edges and non-edges.  Entry i is the image
-    of pattern vertex i.
+    of pattern vertex i.  This is the anchor loop of
+    :func:`contains_induced` with the matcher for every pattern, paths
+    included, since only the matcher yields an image: the first copy
+    through the lowest anchor that has one.
     """
-    hg = pattern_graph(h)
-    if hg.n == 0:
+    search = _search(pattern_graph(h))
+    if not search.h.n:
         return ()
-    order = _match_order(hg, max(range(hg.n), key=hg.degree))
-    res = _embed(g.rows, g.n, hg, order, (1 << g.n) - 1)
-    return tuple(res) if res is not None else None
+    images = (search.embedding(*a) for a in _anchors(g))
+    return next((tuple(image) for image in images if image is not None), None)
 
 
 def contains_induced(g: Graph, h) -> bool:
     """Does ``g`` contain the pattern ``h`` as an induced subgraph?"""
-    hg = pattern_graph(h)
-    # Paths go through the dedicated detector; it is much faster and the two
-    # are tested to agree.
-    t = _as_path_length(hg)
-    if t is not None:
-        return has_induced_path(g, t)
-    return find_induced_embedding(g, hg) is not None
+    search = _search(pattern_graph(h))
+    return not search.h.n or any(search.through(*a) for a in _anchors(g))
 
 
 def _as_path_length(h: Graph) -> int | None:
@@ -375,29 +421,23 @@ def has_induced_path(g: Graph, t: int) -> bool:
     """Does ``g`` contain an induced path on ``t`` vertices?"""
     if t < 1:
         raise ValueError(f"path length must be positive, got {t}")
-    rows = g.rows
-    for v in range(g.n):
-        if has_induced_path_through(rows, v, t):
-            return True
-        # Every path through v is ruled out, so later anchors skip v.
-        rows = [r & ~(1 << v) for r in rows]
-    return False
+    return t <= g.n and contains_induced(g, path_graph(t))
 
 
 def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
     """Induced path on ``t`` vertices that uses vertex ``anchor``.
 
-    Takes raw adjacency rows so enumeration loops can call it without
-    building Graph objects.  The path is grown as two arms out of the
-    anchor by one recursive ``arm``, first arm first; the second arm is
-    opened only once the first holds a strict majority of the remaining
-    vertices, so each arm pair is tried in one orientation only and the
-    recursion never runs deeper on the second arm than on the first.  The
-    second arm is ``arm`` restarted at the anchor with the switch closed.
-    Candidates are scanned from the highest vertex down: callers anchor at
-    the newest (highest) vertex, whose neighborhood is where a fresh path
-    is most likely to live, and on this workload most queries succeed, so
-    time-to-first-hit dominates.
+    The path arm of :class:`PatternSearch`: it reaches vertices only
+    through ``rows``, so it needs no live mask.  The path is grown as two
+    arms out of the anchor by one recursive ``arm``, first arm first; the
+    second arm is opened only once the first holds a strict majority of
+    the remaining vertices, so each arm pair is tried in one orientation
+    only and the recursion never runs deeper on the second arm than on the
+    first.  The second arm is ``arm`` restarted at the anchor with the
+    switch closed.  Candidates are scanned from the highest vertex down:
+    the enumeration anchors at the newest (highest) vertex, whose
+    neighborhood is where a fresh path is most likely to live, and on that
+    workload most queries succeed, so time-to-first-hit dominates.
     """
     if t < 2:
         return t == 1
@@ -420,20 +460,6 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
         return m >= switch and arm(anchor, abit, used, m, t)
 
     return arm(anchor, abit, abit, 1, (t + 2) // 2)
-
-
-def contains_induced_through(
-    rows: Sequence[int], n: int, h: Graph, orders: Sequence[Sequence[int]], anchor: int
-) -> bool:
-    """Does the graph given by ``rows`` contain ``h`` induced, using ``anchor``?
-
-    ``orders`` is ``anchored_orders(h)``, so the anchor is tried as each
-    pattern vertex in turn.  ``rows`` are trusted to be well-formed, so
-    enumeration loops can call this without building Graph objects.
-    """
-    return h.n == 0 or any(
-        _embed(rows, n, h, order, 1 << anchor) is not None for order in orders
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
-from .graphs import (
-    Graph,
-    anchored_orders,
-    bits,
-    contains_induced_through,
-    has_induced_path_through,
-    pattern_graph,
-    _as_path_length,
-)
+from .graphs import Graph, PatternSearch, bits
 
 # Reference counts for the enumeration with P6 forbidden, lengths 1..25.
 # The CLI checks its own output against this vector.
@@ -169,42 +161,18 @@ class EnumerationResult:
         return sum(self.counts)
 
 
-def _pack_forbidden(forbidden: Iterable) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Split patterns into path lengths and (graph, anchored_orders) pairs."""
-    path_ts = []
-    others = []
-    for h in forbidden:
-        hg = pattern_graph(h)
-        t = _as_path_length(hg)
-        if t is not None:
-            path_ts.append(t)
-        else:
-            others.append((hg, anchored_orders(hg)))
-    return tuple(sorted(set(path_ts))), tuple(others)
-
-
-def _hits_new_vertex(rows: list[int], n: int, anchor: int, path_ts, other_graphs) -> bool:
-    for t in path_ts:
-        if t <= n and has_induced_path_through(rows, anchor, t):
-            return True
-    for hg, orders in other_graphs:
-        if hg.n <= n and contains_induced_through(rows, n, hg, orders, anchor):
-            return True
-    return False
-
-
 class _Engine:
     """Depth-first enumeration with incremental pattern checks.
 
     A configuration is its colors and its adjacency bitmask rows; its
     chords are the bits j >= i + 2 of ``rows[i]``.  Configurations of
     length ``stop_depth`` are not extended; below ``max_n`` they are left
-    in ``tasks`` for :func:`_worker`.
+    in ``tasks`` for :func:`_worker`.  A new vertex is checked against
+    each of ``searches``, one :class:`PatternSearch` per forbidden pattern.
     """
 
-    def __init__(self, path_ts, other_graphs, max_n, collect, stop_depth):
-        self.path_ts = path_ts
-        self.other_graphs = other_graphs
+    def __init__(self, searches, max_n, collect, stop_depth):
+        self.searches = searches
         self.max_n = max_n
         self.counts = [0] * max_n
         self.lines: list[tuple[int, str, str]] | None = [] if collect else None
@@ -212,7 +180,7 @@ class _Engine:
         self.tasks: list[tuple] = []  # (colors, adjacency rows)
 
     def run_root(self):
-        if self.max_n and not _hits_new_vertex([0], 1, 0, self.path_ts, self.other_graphs):
+        if self.max_n and not any(s.through([0], 1, 0) for s in self.searches):
             self.counts[0] += 1
             if self.lines is not None:
                 self._emit([1], [0])
@@ -233,8 +201,8 @@ class _Engine:
             return
         kbit = 1 << k
         counts = self.counts
-        path_ts = self.path_ts
-        other_graphs = self.other_graphs
+        searches = self.searches
+        alive = (kbit << 1) - 1
         rows[k - 1] |= kbit
         # c(v_2) = 3 is the 2<->3 mirror of c(v_2) = 2; the caller counts it.
         for alpha in (2,) if k == 1 else _OTHERS[colors[-1]]:
@@ -249,7 +217,10 @@ class _Engine:
                     i0 = adm[(sub & -sub).bit_length() - 1]
                     rows[i0] ^= kbit
                     rows[k] ^= 1 << i0
-                if not _hits_new_vertex(rows, n, k, path_ts, other_graphs):
+                for search in searches:
+                    if search.through(rows, alive, k):
+                        break
+                else:
                     counts[k] += 1
                     if n >= _HARD_LIMIT:
                         raise ResourceLimitError(
@@ -265,10 +236,10 @@ class _Engine:
         rows[k - 1] &= ~kbit
 
 
-def _worker(path_ts, other_graphs, max_n, collect, task):
+def _worker(searches, max_n, collect, task):
     """Counts and lines of the whole subtree below one task."""
     colors, rows = task
-    eng = _Engine(path_ts, other_graphs, max_n, collect, max_n)
+    eng = _Engine(searches, max_n, collect, max_n)
     eng._extend(list(colors), list(rows))
     return eng.counts, eng.lines
 
@@ -312,12 +283,12 @@ def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
     """The search behind both entry points: one driver down to length
     ``_SPLIT_DEPTH``, then its tasks through :func:`_worker`, in this
     process for one job and on a process pool for more."""
-    path_ts, other_graphs = _pack_forbidden(forbidden)
+    searches = [PatternSearch(h) for h in forbidden]
     collect = emit is not None
-    driver = _Engine(path_ts, other_graphs, max_n, collect, min(_SPLIT_DEPTH, max_n))
+    driver = _Engine(searches, max_n, collect, min(_SPLIT_DEPTH, max_n))
     driver.run_root()
     counts, lines = driver.counts, driver.lines
-    run = partial(_worker, path_ts, other_graphs, max_n, collect)
+    run = partial(_worker, searches, max_n, collect)
     tasks = driver.tasks
     pool = multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else None
     with pool or nullcontext():

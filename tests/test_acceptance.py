@@ -12,10 +12,12 @@ from tricrit.coloring import ListSystem
 from tricrit.families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from tricrit.graphs import (
     Graph,
+    PatternSearch,
     complete_graph,
     contains_induced,
     cycle_graph,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     pattern_graph,
 )
@@ -28,6 +30,7 @@ from oracles import (
     brute_count_configs,
     brute_l_colorable,
     contains_induced_brute,
+    contains_induced_through_brute,
     graphs_on,
     graphs_upto,
     random_graph,
@@ -227,16 +230,21 @@ NAMED_PATTERNS = (
 )
 
 
-def test_criterion_5d_containment_vs_brute(capsys):
+def _containment_hosts() -> list[Graph]:
     # all graphs with <= 9 vertices is out of reach for an exhaustive sweep
-    # (275k isomorphism classes at 9 alone); this runs every class up to 6
+    # (275k isomorphism classes at 9 alone); this is every class up to 6
     # vertices plus seeded random hosts at 7, 8 and 9 vertices
-    patterns = [(name, pattern_graph(name)) for name in NAMED_PATTERNS]
     hosts = list(graphs_upto(6))
     rng = random.Random(77)
     for n in (7, 8, 9):
         for _ in range(20):
             hosts.append(random_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.7])))
+    return hosts
+
+
+def test_criterion_5d_containment_vs_brute(capsys):
+    patterns = [(name, pattern_graph(name)) for name in NAMED_PATTERNS]
+    hosts = _containment_hosts()
     ok = True
     for g in hosts:
         for _, h in patterns:
@@ -249,6 +257,25 @@ def test_criterion_5d_containment_vs_brute(capsys):
         f"containment matches subset brute force: {len(hosts)} hosts "
         f"(exhaustive <= 6, sampled 7..9) x {len(patterns)} named patterns",
     )
+
+
+def test_anchored_search_respects_alive_mask():
+    # The state of the whole-graph anchor loop at anchor v: the vertices
+    # below v are dropped from ``alive`` and cleared from the rows, but
+    # their own rows stay.  Both arms must then answer for the subgraph
+    # induced on v..n-1 alone; clearing the rows without the mask once let
+    # the matcher report 2P3 copies in Hr that are not there.
+    searches = [(name, pattern_graph(name), PatternSearch(name)) for name in NAMED_PATTERNS]
+    for g in _containment_hosts():
+        n = g.n
+        for v in range(n):
+            alive = (1 << n) - (1 << v)
+            rows = [row & alive for row in g.rows]
+            rest = induced_subgraph(g, range(v, n))
+            for name, h, search in searches:
+                want = contains_induced_through_brute(rest, h, 0)
+                assert search.through(rows, alive, v) == want, (g, name, v)
+                assert (search.embedding(rows, alive, v) is not None) == want, (g, name, v)
 
 
 def test_criterion_6_minimality_sanity(capsys):

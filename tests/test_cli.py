@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from tricrit.cli import main
 from tricrit.coloring import ListSystem, lists_to_json
@@ -189,22 +194,38 @@ def test_argparse_failures_exit_2(capsys):
     assert rc == 2
 
 
-def test_entry_point_installed():
+def _command() -> tuple[list[str], dict]:
     # The console script when it is installed, else the module entry point
     # of the package this suite imported, whose directory the child is given.
-    import os
-    import shutil
-    import subprocess
-    import sys
-    from pathlib import Path
-
     import tricrit
 
     exe = shutil.which("tricrit")
     cmd = [exe] if exe is not None else [sys.executable, "-m", "tricrit"]
     env = dict(os.environ, PYTHONPATH=str(Path(tricrit.__file__).parent.parent))
+    return cmd, env
+
+
+def test_entry_point_installed():
+    cmd, env = _command()
     proc = subprocess.run(
         cmd + ["classify", "--pattern", "P5"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "induced-subgraph-of-P6" in proc.stdout
+
+
+def test_emit_into_closed_pipe_exits_quietly():
+    # ``tricrit enumerate --emit /dev/stdout | head -3``: the reader takes
+    # three lines and closes the pipe while the stream is still being written.
+    cmd, env = _command()
+    args = ["enumerate", "--forbidden", "P6", "--max-n", "14", "--emit", "/dev/stdout"]
+    proc = subprocess.Popen(
+        cmd + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert lines == ["1 1 -\n", "2 12 -\n", "2 13 -\n"]
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -7,12 +7,10 @@ from tricrit.coloring import ListSystem, l_colorable
 from tricrit.families import FamilyReport, gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from tricrit.graphs import (
     Graph,
-    anchored_orders,
+    PatternSearch,
     complete_graph,
     contains_induced,
-    contains_induced_through,
     disjoint_union,
-    has_induced_path_through,
     induced_subgraph,
     path_graph,
     pattern_graph,
@@ -44,7 +42,7 @@ def test_gen_Gr_is_shift_invariant():
 def test_gen_Gr_vertex_zero_decides_containment():
     # verify_Gr checks its patterns through vertex 0 only, which is sound
     # because G_r is circulant.  P4, C4 and 2P2 occur in some G_r, so both
-    # answers are exercised.
+    # answers are exercised.  The matcher is checked on the paths too.
     patterns = {
         "P4": pattern_graph("P4"),
         "C4": pattern_graph("C4"),
@@ -57,10 +55,10 @@ def test_gen_Gr_vertex_zero_decides_containment():
         g = gen_Gr(r)
         for name, h in patterns.items():
             whole = contains_induced(g, h)
-            through = contains_induced_through(g.rows, g.n, h, anchored_orders(h), 0)
-            assert through == whole, (r, name)
-            if name in ("P4", "P7"):
-                assert has_induced_path_through(g.rows, 0, h.n) == whole, (r, name)
+            search = PatternSearch(h)
+            alive = (1 << g.n) - 1
+            assert search.through(g.rows, alive, 0) == whole, (r, name)
+            assert (search.embedding(g.rows, alive, 0) is not None) == whole, (r, name)
             seen.add(whole)
     assert seen == {True, False}
 

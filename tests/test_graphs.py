@@ -10,13 +10,12 @@ from tricrit.graphs import (
     Graph,
     Graph6Error,
     Pattern,
-    anchored_orders,
+    PatternSearch,
     anticomponents,
     claw_graph,
     complete_graph,
     components,
     contains_induced,
-    contains_induced_through,
     cycle_graph,
     disjoint_union,
     find_induced_embedding,
@@ -106,8 +105,17 @@ def test_contains_induced_basics():
     assert contains_induced(cycle_graph(6), "P5")
     assert contains_induced(claw_graph(), "P3")
     assert not contains_induced(complete_graph(4), "P3")
-    assert contains_induced(path_graph(1), "P1")
-    assert not contains_induced(Graph(0), "P1")
+    # The empty pattern lies in every graph, the empty one too; P1 in every
+    # graph with a vertex; a pattern larger than its host in none.
+    for g in (Graph(0), path_graph(1), cycle_graph(5)):
+        assert contains_induced(g, Graph(0))
+        assert find_induced_embedding(g, Graph(0)) == ()
+        assert contains_induced(g, "P1") == (g.n > 0)
+        assert find_induced_embedding(g, "P1") == ((0,) if g.n else None)
+    for name in ("P4", "claw", "2P3"):
+        assert not contains_induced(path_graph(3), name)
+        assert find_induced_embedding(path_graph(3), name) is None
+    assert not has_induced_path(path_graph(3), 4)
 
 
 def test_find_induced_embedding_is_faithful():
@@ -174,9 +182,9 @@ def test_anchored_matcher_agrees_with_brute(seed, n, name):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
     h = pattern_graph(name)
-    orders = anchored_orders(h)
+    search = PatternSearch(h)
     for a in range(n):
-        assert contains_induced_through(g.rows, n, h, orders, a) == (
+        assert search.through(g.rows, (1 << n) - 1, a) == (
             contains_induced_through_brute(g, h, a)
         ), (g, name, a)
 

@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from tricrit.graphs import pattern_graph
+from tricrit.graphs import Graph, pattern_graph
 from tricrit.propagation import (
     EnumerationResult,
     P6_REFERENCE_COUNTS,
@@ -116,6 +116,11 @@ def test_enumerate_no_forbidden_n3():
 def test_enumerate_edge_cases():
     assert enumerate_propagation_paths(["P6"], 0).counts == ()
     assert enumerate_propagation_paths(["P6"], 1).counts == (1,)
+    # The empty pattern and P1 lie in every configuration; P7 and 2P3 in
+    # none of length at most 4, so those counts are the unrestricted ones.
+    assert enumerate_propagation_paths([Graph(0)], 3).counts == (0, 0, 0)
+    assert enumerate_propagation_paths(["P1"], 3).counts == (0, 0, 0)
+    assert enumerate_propagation_paths(["P7", "2P3"], 4).counts == (1, 2, 6, 22)
     with pytest.raises(ValueError):
         enumerate_propagation_paths(["P6"], 65)
     with pytest.raises(ValueError):
@@ -200,7 +205,10 @@ def test_counts_deterministic_across_workers(monkeypatch):
     # process pool even when the test host has fewer.  Lengths 1 and 2 are
     # where the 2<->3 doubling and the twin lines start.
     monkeypatch.setattr("tricrit.propagation.os.cpu_count", lambda: 3)
-    for names, max_n in ((["P6"], 9), (["2P3"], 8), (["P6"], 1), (["P6"], 2)):
+    # P6 with claw pickles a walker search and a matcher search in one pool.
+    for names, max_n in (
+        (["P6"], 9), (["2P3"], 8), (["P6", "claw"], 8), (["P6"], 1), (["P6"], 2)
+    ):
         buf1 = io.StringIO()
         buf3 = io.StringIO()
         r1 = enumerate_propagation_paths(names, max_n, emit=buf1, jobs=1)
