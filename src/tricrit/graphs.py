@@ -305,8 +305,10 @@ class PatternSearch:
 
     A path goes to the walker :func:`has_induced_path_through`; any other
     pattern goes to the matcher :func:`_embed`, once with each pattern
-    vertex on the anchor.  Instances pickle, so worker processes can share
-    them.
+    vertex on the anchor.  The match order that starts at pattern vertex p
+    is built the first time the search needs it, so a large pattern whose
+    first order already finds a copy never pays for the others.  Instances
+    pickle, so worker processes can share them.
     """
 
     __slots__ = ("h", "path", "orders")
@@ -314,19 +316,36 @@ class PatternSearch:
     def __init__(self, h):
         self.h = pattern_graph(h)
         self.path = _as_path_length(self.h)
-        # The p-th order starts at pattern vertex p.  The empty pattern has
-        # one empty order, so every anchor holds a copy of it.
-        self.orders = tuple(_match_order(self.h, p) for p in range(self.h.n)) or ((),)
+        # orders[p] starts at pattern vertex p; None until first used.  The
+        # empty pattern has one empty order, so every anchor holds a copy.
+        self.orders = [None] * self.h.n or [()]
 
-    def through(self, rows: Sequence[int], alive: int, anchor: int) -> bool:
-        """Is there an induced copy among ``alive`` that uses ``anchor``?"""
+    def through(self, rows: Sequence[int], alive: int, anchor: int) -> int:
+        """The vertex mask of an induced copy among ``alive`` that uses
+        ``anchor``, or 0 if there is none.
+
+        The mask always holds the anchor (the empty pattern answers with
+        the anchor alone), so it is non-zero exactly when a copy exists.
+        The graph induced on the mask is the copy, so a caller may keep the
+        mask as a witness: any graph that agrees with these rows on the
+        mask's vertices contains the same copy.
+        """
         if self.path is not None:
             return has_induced_path_through(rows, anchor, self.path)
-        return self.embedding(rows, alive, anchor) is not None
+        image = self.embedding(rows, alive, anchor)
+        if image is None:
+            return 0
+        mask = 1 << anchor
+        for v in image:
+            mask |= 1 << v
+        return mask
 
     def embedding(self, rows: Sequence[int], alive: int, anchor: int) -> list[int] | None:
         """The matcher's image of a copy that uses ``anchor``, or None."""
-        for order in self.orders:
+        orders = self.orders
+        for p, order in enumerate(orders):
+            if order is None:
+                order = orders[p] = _match_order(self.h, p)
             image = _embed(rows, alive, self.h, order, anchor)
             if image is not None:
                 return image
@@ -424,8 +443,9 @@ def has_induced_path(g: Graph, t: int) -> bool:
     return t <= g.n and contains_induced(g, path_graph(t))
 
 
-def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
-    """Induced path on ``t`` vertices that uses vertex ``anchor``.
+def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> int:
+    """The vertex mask of an induced path on ``t`` vertices that uses
+    vertex ``anchor``, or 0 if there is none.
 
     The path arm of :class:`PatternSearch`: it reaches vertices only
     through ``rows``, so it needs no live mask.  The path is grown as two
@@ -437,14 +457,17 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
     switch closed.  Candidates are scanned from the highest vertex down:
     the enumeration anchors at the newest (highest) vertex, whose
     neighborhood is where a fresh path is most likely to live, and on that
-    workload most queries succeed, so time-to-first-hit dominates.
+    workload most queries succeed, so time-to-first-hit dominates.  The
+    mask returned is the walk's ``used`` mask at the hit: exactly the t
+    vertices of the path, which is the graph the rows induce on them, so
+    the mask stays a witness wherever those rows are unchanged.
     """
     if t < 2:
-        return t == 1
+        return 1 << anchor if t == 1 else 0
     abit = 1 << anchor
     tm1 = t - 1
 
-    def arm(end: int, ebit: int, used: int, m: int, switch: int) -> bool:
+    def arm(end: int, ebit: int, used: int, m: int, switch: int) -> int:
         # ``used`` holds the m vertices placed so far; once m reaches
         # ``switch`` the other arm may open at the anchor.
         forbid = used ^ ebit
@@ -455,9 +478,12 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> bool:
             cand ^= b
             if rows[w] & forbid:
                 continue
-            if m == tm1 or arm(w, b, used | b, m + 1, switch):
-                return True
-        return m >= switch and arm(anchor, abit, used, m, t)
+            if m == tm1:
+                return used | b
+            hit = arm(w, b, used | b, m + 1, switch)
+            if hit:
+                return hit
+        return arm(anchor, abit, used, m, t) if m >= switch else 0
 
     return arm(anchor, abit, abit, 1, (t + 2) // 2)
 

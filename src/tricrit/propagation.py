@@ -169,6 +169,17 @@ class _Engine:
     length ``stop_depth`` are not extended; below ``max_n`` they are left
     in ``tasks`` for :func:`_worker`.  A new vertex is checked against
     each of ``searches``, one :class:`PatternSearch` per forbidden pattern.
+
+    Every copy found is kept as a witness for the rest of the chord
+    subsets of its parent and color alpha.  A search returns the copy's
+    vertex mask W, which holds the new vertex x; the witness is the pair
+    ``(m, r)`` with m = W minus x and r = x's row within m.  Between
+    subsets of one parent and alpha only x's chords change, so the rows
+    among m stay as they were; a later subset whose row for x meets m in
+    exactly r therefore induces the same graph on W, the same copy, and is
+    rejected without a search.  This holds for any pattern and any mix of
+    patterns, and drops only candidates that really hold a copy, so the
+    counts and the emitted lines are those of a search of every subset.
     """
 
     def __init__(self, searches, max_n, collect, stop_depth):
@@ -210,6 +221,9 @@ class _Engine:
             colors.append(alpha)
             rows.append(1 << (k - 1))
             n = k + 1
+            # Witnesses (m, r) of the copies found for this parent and
+            # alpha: see the class docstring.
+            seen = []
             # Chord subsets in Gray-code order: one chord flips per subset,
             # and the last subset still holds one chord, cleared below.
             for sub in range(1 << len(adm)):
@@ -217,18 +231,25 @@ class _Engine:
                     i0 = adm[(sub & -sub).bit_length() - 1]
                     rows[i0] ^= kbit
                     rows[k] ^= 1 << i0
-                for search in searches:
-                    if search.through(rows, alive, k):
+                new = rows[k]
+                for m, r in seen:
+                    if new & m == r:
                         break
                 else:
-                    counts[k] += 1
-                    if n >= _HARD_LIMIT:
-                        raise ResourceLimitError(
-                            f"configurations reach length {n}; the search looks unbounded"
-                        )
-                    if self.lines is not None:
-                        self._emit(colors, rows)
-                    self._extend(colors, rows)
+                    for search in searches:
+                        found = search.through(rows, alive, k)
+                        if found:
+                            seen.append((found ^ kbit, new & found))
+                            break
+                    else:
+                        counts[k] += 1
+                        if n >= _HARD_LIMIT:
+                            raise ResourceLimitError(
+                                f"configurations reach length {n}; the search looks unbounded"
+                            )
+                        if self.lines is not None:
+                            self._emit(colors, rows)
+                        self._extend(colors, rows)
             for i0 in adm:
                 rows[i0] &= ~kbit
             rows.pop()

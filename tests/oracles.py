@@ -89,6 +89,19 @@ def contains_induced_through_brute(g: Graph, h: Graph, a: int) -> bool:
     return False
 
 
+def is_witness_brute(g: Graph, h: Graph, alive: int, a: int, mask: int) -> bool:
+    """Is ``mask`` the vertex mask of an induced copy of ``h`` in ``g`` that
+    uses ``a`` and lies inside ``alive``?"""
+    from tricrit.graphs import bits, induced_subgraph
+
+    return bool(
+        mask >> a & 1
+        and not mask & ~alive
+        and mask.bit_count() == h.n
+        and is_iso_brute(induced_subgraph(g, bits(mask)), h)
+    )
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 

@@ -33,6 +33,7 @@ from oracles import (
     contains_induced_through_brute,
     graphs_on,
     graphs_upto,
+    is_witness_brute,
     random_graph,
     random_lists,
 )
@@ -274,7 +275,9 @@ def test_anchored_search_respects_alive_mask():
             rest = induced_subgraph(g, range(v, n))
             for name, h, search in searches:
                 want = contains_induced_through_brute(rest, h, 0)
-                assert search.through(rows, alive, v) == want, (g, name, v)
+                mask = search.through(rows, alive, v)
+                assert bool(mask) == want, (g, name, v)
+                assert not mask or is_witness_brute(g, h, alive, v, mask), (g, name, v, mask)
                 assert (search.embedding(rows, alive, v) is not None) == want, (g, name, v)
 
 

@@ -11,6 +11,7 @@ from tricrit.graphs import (
     Graph6Error,
     Pattern,
     PatternSearch,
+    _search,
     anticomponents,
     claw_graph,
     complete_graph,
@@ -34,6 +35,7 @@ from oracles import (
     contains_induced_through_brute,
     graphs_upto,
     is_iso_brute,
+    is_witness_brute,
     random_graph,
 )
 
@@ -162,31 +164,47 @@ def test_path_detector_agrees_with_generic_matcher(seed, t):
 @given(st.integers(0, 2**28), st.integers(0, 9))
 @settings(max_examples=100, deadline=None)
 def test_path_walker_agrees_with_brute_at_every_anchor(seed, n):
+    # The walker's answer is the vertex mask of the path it found, or 0.
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.45, 0.6]))
+    full = (1 << n) - 1
     for t in range(1, 8):
         p = path_graph(t)
         for a in range(n):
-            assert has_induced_path_through(g.rows, a, t) == (
-                contains_induced_through_brute(g, p, a)
-            ), (g, t, a)
+            mask = has_induced_path_through(g.rows, a, t)
+            assert bool(mask) == contains_induced_through_brute(g, p, a), (g, t, a)
+            assert not mask or is_witness_brute(g, p, full, a, mask), (g, t, a, mask)
 
 
 @given(
     st.integers(0, 2**28),
     st.integers(0, 8),
-    st.sampled_from(["2P3", "claw", "C4", "2P2+P1", "P4+1P1", "C3"]),
+    st.sampled_from(
+        ["P2", "P3", "P4", "P5", "P6", "P7"]
+        + ["2P3", "claw", "C3", "C4", "C5", "2P2+P1", "P4+1P1", "P4+2P1"]
+    ),
 )
-@settings(max_examples=60)
+@settings(max_examples=100, deadline=None)
 def test_anchored_matcher_agrees_with_brute(seed, n, name):
+    # Both arms of the search: the mask of the copy found, or 0.  A copy's
+    # mask is a witness, so it must hold exactly a copy of the pattern.
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
     h = pattern_graph(name)
     search = PatternSearch(h)
+    full = (1 << n) - 1
     for a in range(n):
-        assert search.through(g.rows, (1 << n) - 1, a) == (
-            contains_induced_through_brute(g, h, a)
-        ), (g, name, a)
+        mask = search.through(g.rows, full, a)
+        assert bool(mask) == contains_induced_through_brute(g, h, a), (g, name, a)
+        assert not mask or is_witness_brute(g, h, full, a, mask), (g, name, a, mask)
+
+
+def test_large_pattern_builds_match_orders_on_demand():
+    # A copy of C128 through vertex 0 is found by the first match order, so
+    # the other 127 orders (O(n^2) each) are never built.
+    c128 = cycle_graph(128)
+    assert find_induced_embedding(c128, c128) is not None
+    assert sum(order is not None for order in _search(c128).orders) == 1
 
 
 # ---------------------------------------------------------------------------

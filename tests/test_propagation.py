@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from tricrit.graphs import Graph, pattern_graph
+from tricrit.graphs import Graph, PatternSearch, pattern_graph
 from tricrit.propagation import (
     EnumerationResult,
     P6_REFERENCE_COUNTS,
@@ -186,9 +186,12 @@ def test_emitted_stream_is_valid_and_complete():
 
 def test_emitted_stream_matches_brute_force():
     # The whole stream, chord order inside each line included, on
-    # chord-rich configurations: no pattern at all, and 2P3, which the
-    # generic anchored matcher checks.  Length 7 reaches the worker tasks.
-    for names, max_n in (([], 6), (["2P3"], 7)):
+    # chord-rich configurations: no pattern at all, and patterns the
+    # generic anchored matcher checks.  P6 with claw keeps witnesses of
+    # the walker and of the matcher in one cache.  Length 7 reaches the
+    # worker tasks.
+    cases = (([], 6), (["2P3"], 7), (["claw"], 7), (["P4+1P1"], 7), (["P6", "claw"], 7))
+    for names, max_n in cases:
         patterns = [pattern_graph(x) for x in names]
         expected = sorted(
             (k, "".join(map(str, cs)), ",".join(f"{i}-{j}" for i, j in chords) or "-")
@@ -198,6 +201,23 @@ def test_emitted_stream_matches_brute_force():
         buf = io.StringIO()
         enumerate_propagation_paths(names, max_n, emit=buf)
         assert buf.getvalue() == "".join(f"{k} {cs} {es}\n" for k, cs, es in expected), names
+
+
+def test_witness_cache_skips_searches(monkeypatch):
+    # A chord subset that keeps a copy already found for its parent and
+    # color is rejected without a search.  Searching every subset takes
+    # 198,042 searches for P6 up to length 14.
+    calls = []
+    through = PatternSearch.through
+
+    def counted(self, rows, alive, anchor):
+        calls.append(anchor)
+        return through(self, rows, alive, anchor)
+
+    monkeypatch.setattr(PatternSearch, "through", counted)
+    r = enumerate_propagation_paths(["P6"], 14)
+    assert r.counts == P6_REFERENCE_COUNTS[:14]
+    assert len(calls) <= 0.6 * 198_042, len(calls)
 
 
 def test_counts_deterministic_across_workers(monkeypatch):
