@@ -454,38 +454,45 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> int:
     the remaining vertices, so each arm pair is tried in one orientation
     only and the recursion never runs deeper on the second arm than on the
     first.  The second arm is ``arm`` restarted at the anchor with the
-    switch closed.  Candidates are scanned from the highest vertex down:
-    the enumeration anchors at the newest (highest) vertex, whose
-    neighborhood is where a fresh path is most likely to live, and on that
-    workload most queries succeed, so time-to-first-hit dominates.  The
-    mask returned is the walk's ``used`` mask at the hit: exactly the t
+    switch closed.  ``arm`` carries ``acc``, the union of the rows of the
+    placed vertices other than the tip and the anchor, so the next vertex's
+    candidates are one mask: the tip's unused neighbours outside ``acc``
+    and, unless the tip is the anchor, outside the anchor's row.  The
+    candidates are tried from the highest vertex down, and the last vertex
+    of a path is the highest candidate, taken without a loop: the
+    enumeration anchors at the newest (highest) vertex, whose neighborhood
+    is where a fresh path is most likely to live, and on that workload
+    most queries succeed, so time-to-first-hit dominates.  The mask
+    returned is the walk's ``used`` mask at the hit: exactly the t
     vertices of the path, which is the graph the rows induce on them, so
     the mask stays a witness wherever those rows are unchanged.
     """
     if t < 2:
         return 1 << anchor if t == 1 else 0
-    abit = 1 << anchor
+    arow = rows[anchor]
     tm1 = t - 1
 
-    def arm(end: int, ebit: int, used: int, m: int, switch: int) -> int:
+    def arm(end: int, used: int, m: int, switch: int, acc: int) -> int:
         # ``used`` holds the m vertices placed so far; once m reaches
         # ``switch`` the other arm may open at the anchor.
-        forbid = used ^ ebit
-        cand = rows[end] & ~used
+        row = rows[end]
+        if end == anchor:
+            cand = row & ~(used | acc)
+        else:
+            cand = row & ~(used | acc | arow)
+            acc |= row
+        if cand and m == tm1:
+            return used | 1 << cand.bit_length() - 1
         while cand:
             w = cand.bit_length() - 1
             b = 1 << w
             cand ^= b
-            if rows[w] & forbid:
-                continue
-            if m == tm1:
-                return used | b
-            hit = arm(w, b, used | b, m + 1, switch)
+            hit = arm(w, used | b, m + 1, switch, acc)
             if hit:
                 return hit
-        return arm(anchor, abit, used, m, t) if m >= switch else 0
+        return arm(anchor, used, m, t, acc) if m >= switch else 0
 
-    return arm(anchor, abit, abit, 1, (t + 2) // 2)
+    return arm(anchor, 1 << anchor, 1, (t + 2) // 2, 0)
 
 
 # ---------------------------------------------------------------------------

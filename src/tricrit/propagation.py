@@ -170,14 +170,17 @@ class _Engine:
     in ``tasks`` for :func:`_worker`.  A new vertex is checked against
     each of ``searches``, one :class:`PatternSearch` per forbidden pattern.
 
-    Every copy found is kept as a witness for the rest of the chord
-    subsets of its parent and color alpha.  A search returns the copy's
-    vertex mask W, which holds the new vertex x; the witness is the pair
-    ``(m, r)`` with m = W minus x and r = x's row within m.  Between
-    subsets of one parent and alpha only x's chords change, so the rows
-    among m stay as they were; a later subset whose row for x meets m in
-    exactly r therefore induces the same graph on W, the same copy, and is
-    rejected without a search.  This holds for any pattern and any mix of
+    Every copy found is kept as a witness for as long as its rows are.  A
+    search returns the copy's vertex mask W, which holds the new vertex x;
+    the witness is the pair ``(m, r)`` with m = W minus x and r = x's row
+    within m.  The graph on m is fixed once m's highest vertex j has its
+    row, so ``witnesses[j]`` keeps the witness for every later new vertex,
+    of either color, anywhere in the subtree where row j stays as it is,
+    and is emptied when that row changes.  A candidate whose row for the
+    new vertex meets m in exactly r induces the same graph on m plus that
+    vertex, the same copy, and is rejected without a search.  Each parent
+    and color alpha starts from the witnesses whose r lies inside the rows
+    the new vertex can have.  This holds for any pattern and any mix of
     patterns, and drops only candidates that really hold a copy, so the
     counts and the emitted lines are those of a search of every subset.
     """
@@ -189,6 +192,8 @@ class _Engine:
         self.lines: list[tuple[int, str, str]] | None = [] if collect else None
         self.stop_depth = stop_depth
         self.tasks: list[tuple] = []  # (colors, adjacency rows)
+        # witnesses[j]: the witnesses (m, r) whose m has highest vertex j.
+        self.witnesses: list[list[tuple[int, int]]] = [[] for _ in range(max_n)]
 
     def run_root(self):
         if self.max_n and not any(s.through([0], 1, 0) for s in self.searches):
@@ -213,6 +218,7 @@ class _Engine:
         kbit = 1 << k
         counts = self.counts
         searches = self.searches
+        witnesses = self.witnesses
         alive = (kbit << 1) - 1
         rows[k - 1] |= kbit
         # c(v_2) = 3 is the 2<->3 mirror of c(v_2) = 2; the caller counts it.
@@ -221,9 +227,12 @@ class _Engine:
             colors.append(alpha)
             rows.append(1 << (k - 1))
             n = k + 1
-            # Witnesses (m, r) of the copies found for this parent and
-            # alpha: see the class docstring.
-            seen = []
+            # The row of x lies inside reach, so only these witnesses can
+            # match; see the class docstring.
+            reach = 1 << (k - 1)
+            for i0 in adm:
+                reach |= 1 << i0
+            seen = [w for ws in witnesses[:k] for w in ws if not w[1] & ~reach]
             # Chord subsets in Gray-code order: one chord flips per subset,
             # and the last subset still holds one chord, cleared below.
             for sub in range(1 << len(adm)):
@@ -239,7 +248,10 @@ class _Engine:
                     for search in searches:
                         found = search.through(rows, alive, k)
                         if found:
-                            seen.append((found ^ kbit, new & found))
+                            m = found ^ kbit
+                            w = (m, new & m)
+                            seen.append(w)
+                            witnesses[m.bit_length() - 1].append(w)
                             break
                     else:
                         counts[k] += 1
@@ -250,6 +262,7 @@ class _Engine:
                         if self.lines is not None:
                             self._emit(colors, rows)
                         self._extend(colors, rows)
+                        witnesses[k].clear()
             for i0 in adm:
                 rows[i0] &= ~kbit
             rows.pop()

@@ -352,6 +352,49 @@ def brute_count_configs(forbidden_graphs: list[Graph], k: int) -> int:
     return len(brute_configs(forbidden_graphs, k))
 
 
+def dfs_stream_uncached(forbidden_graphs: list[Graph], max_n: int) -> str:
+    """The emission stream of every admissible pattern-free configuration of
+    length 1..``max_n``, grown depth first over all three colors.
+
+    Each candidate is checked with ``PatternSearch.through`` at its new
+    vertex, with no witnesses and no 2<->3 symmetry, so it checks the
+    propagation search's bookkeeping rather than the pattern search.
+    """
+    from tricrit.graphs import PatternSearch
+
+    searches = [PatternSearch(h) for h in forbidden_graphs]
+    lines = []
+
+    def free(rows: list[int]) -> bool:
+        k = len(rows) - 1
+        return not any(s.through(rows, (2 << k) - 1, k) for s in searches)
+
+    def grow(cs: tuple[int, ...], chords: tuple, rows: list[int]) -> None:
+        k = len(cs)
+        es = ",".join(f"{i}-{j}" for i, j in sorted(chords))
+        lines.append((k, "".join(map(str, cs)), es or "-"))
+        if k == max_n:
+            return
+        for alpha in (1, 2, 3):
+            if alpha == cs[-1]:
+                continue
+            ext = cs + (alpha,)
+            ok = [i for i in range(1, k) if chord_ok(ext, i, k + 1)]
+            for mask in range(1 << len(ok)):
+                chosen = [i for t, i in enumerate(ok) if mask >> t & 1]
+                new = rows + [1 << (k - 1)]
+                new[k - 1] |= 1 << k
+                for i in chosen:
+                    new[i - 1] |= 1 << k
+                    new[k] |= 1 << (i - 1)
+                if free(new):
+                    grow(ext, chords + tuple((i, k + 1) for i in chosen), new)
+
+    if max_n and free([0]):
+        grow((1,), (), [0])
+    return "".join(f"{k} {cs} {es}\n" for k, cs, es in sorted(lines))
+
+
 def assert_minimal_obstruction_sane(g: Graph, lists: ListSystem):
     """The sanity battery every minimal obstruction must survive."""
     from tricrit.coloring import l_colorable

@@ -90,6 +90,18 @@ def test_verify_Gr_reports():
     assert d["family"] == "Gr" and d["passed"] is True and len(d["checks"]) == 4
 
 
+def test_verify_Gr_30_passes():
+    # At r = 30 the P7 check through vertex 0 dominates the run.
+    rep = verify_Gr(30)
+    assert rep.passed
+    assert [c.name for c in rep.checks] == [
+        "4-vertex-critical",
+        "2P2+P1-free",
+        "P7-free",
+        "unique-coloring-after-deleting-v0",
+    ]
+
+
 def test_gen_Hr_smallest_is_one_forced_edge():
     g, l = gen_Hr(1)
     assert g.n == 2 and g.edges() == [(0, 1)]
