@@ -1,7 +1,9 @@
 """List systems over the palette {1,2,3}: exact solving and updating rules.
 
 A list system stores one 3-bit mask per vertex (bit c-1 for color c).  The
-solver is plain backtracking with unit propagation and smallest-list-first
+solver works on three color classes instead, bitmasks of the live vertices
+whose list still holds color 1, 2 or 3, and a deletion is a mask of live
+vertices.  It is backtracking with unit propagation and smallest-list-first
 branching, which is exact and more than fast enough at the sizes studied
 here.  The updating rules are the bookkeeping steps used in criticality
 arguments: deleting a forced color from the lists of neighbors, walking a
@@ -135,59 +137,83 @@ def l_colorable(g: Graph, l: ListSystem) -> tuple[int, ...] | None:
     the lists before it leaves this function.
     """
     _check_dims(g, l)
-    if 0 in l.masks:
-        return None
-    masks = list(l.masks)
-    res = _solve(g.rows, masks, [v for v in range(g.n) if masks[v].bit_count() == 1])
+    res = _l_colorable(g.rows, l.masks, (1 << g.n) - 1)
     if res is None:
         return None
-    coloring = tuple(_BIT_COLOR[m] for m in res)
-    for v in range(g.n):
-        if not l.masks[v] & _COLOR_BIT[coloring[v]]:
-            raise RuntimeError("solver produced a color outside its list")
-        m = g.rows[v]
+    p1, p2, _ = res
+    return tuple(1 if p1 >> v & 1 else 2 if p2 >> v & 1 else 3 for v in range(g.n))
+
+
+def _l_colorable(rows, masks, alive):
+    """The color classes of a coloring of the vertices in ``alive`` and the
+    edges between them, or None.  They are re-checked before they are
+    returned: they split ``alive``, lie inside the lists and hold no edge.
+    """
+    by_list = [0] * 8
+    for v in bits(alive):
+        by_list[masks[v]] |= 1 << v
+    empty, s1, s2, s12, s3, s13, s23, s123 = by_list
+    if empty:
+        return None
+    lists = s1 | s12 | s13 | s123, s2 | s12 | s23 | s123, s3 | s13 | s23 | s123
+    res = _solve(rows, *lists, 0)
+    if res is None:
+        return None
+    p1, p2, p3 = res
+    if p1 | p2 | p3 != alive or p1 & p2 | p1 & p3 | p2 & p3:
+        raise RuntimeError("solver left a vertex without exactly one color")
+    if any(p & ~q for p, q in zip(res, lists)):
+        raise RuntimeError("solver produced a color outside its list")
+    if any(rows[v] & p for p in res for v in bits(p)):
+        raise RuntimeError("solver produced an improper coloring")
+    return res
+
+
+def _propagate(rows, p1, p2, p3, done):
+    """Unit propagation on the color classes p1, p2, p3, or None on a clash.
+
+    Each vertex in exactly one class and not in ``done`` clears its row from
+    that class, batch by batch; a vertex left in no class is a clash.
+    Returns the classes and ``done`` at the fixpoint, which no order changes.
+    """
+    live = p1 | p2 | p3
+    while one := (p1 ^ p2 ^ p3) & ~(p1 & p2 & p3) & ~done:
+        done |= one
+        # A vertex cleared by an earlier one of its batch is in no class,
+        # which the check after the batch catches.
+        m = one
         while m:
             b = m & -m
             m ^= b
-            if coloring[b.bit_length() - 1] == coloring[v]:
-                raise RuntimeError("solver produced an improper coloring")
-    return coloring
+            r = ~rows[b.bit_length() - 1]
+            if p1 & b:
+                p1 &= r
+            elif p2 & b:
+                p2 &= r
+            elif p3 & b:
+                p3 &= r
+        if p1 | p2 | p3 != live:
+            return None
+    return p1, p2, p3, done
 
 
-def _solve(rows, masks, queue):
-    # ``queue`` holds the one-color vertices whose color is not yet deleted
-    # from their neighbors' lists.  A clash between two one-color neighbors
-    # shows up as an emptied list.
-    while queue:
-        v = queue.pop()
-        bit = masks[v]
-        m = rows[v]
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            mu = masks[u]
-            if mu & bit:
-                mu &= ~bit
-                if not mu:
-                    return None
-                masks[u] = mu
-                if mu.bit_count() == 1:
-                    queue.append(u)
-    pick = min(
-        (v for v, m in enumerate(masks) if m.bit_count() > 1),
-        key=lambda v: masks[v].bit_count(),
-        default=None,
-    )
-    if pick is None:
-        return masks
-    for b in (1, 2, 4):
-        if masks[pick] & b:
-            branch = masks[:]
-            branch[pick] = b
-            res = _solve(rows, branch, [pick])
-            if res is not None:
-                return res
+def _solve(rows, p1, p2, p3, done):
+    # Branch on the lowest vertex with the fewest colors, trying 1, 2, 3.
+    res = _propagate(rows, p1, p2, p3, done)
+    if res is None:
+        return None
+    p1, p2, p3, done = res
+    three = p1 & p2 & p3
+    pick = (p1 & p2 | p1 & p3 | p2 & p3) & ~three or three
+    if not pick:
+        return p1, p2, p3
+    b = pick & -pick
+    if p1 & b and (res := _solve(rows, p1, p2 & ~b, p3 & ~b, done)):
+        return res
+    if p2 & b and (res := _solve(rows, p1 & ~b, p2, p3 & ~b, done)):
+        return res
+    if p3 & b:
+        return _solve(rows, p1 & ~b, p2 & ~b, p3, done)
     return None
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import ListSystem, precolor_and_update, update_along_path
-from .graphs import MAX_VERTICES, Graph, PatternSearch, find_induced_embedding, induced_subgraph
+from .coloring import PALETTE, ListSystem, _propagate, update_along_path
+from .graphs import MAX_VERTICES, Graph, PatternSearch, bits, find_induced_embedding
 from .obstructions import is_4_vertex_critical, is_minimal_obstruction
 
 
@@ -96,21 +96,20 @@ def verify_Gr(r: int) -> FamilyReport:
         )
 
     # Deleting vertex 0 leaves a uniquely 3-colorable graph: pin the
-    # triangle on the first three remaining vertices and propagate to the
-    # fixpoint; every list must collapse to one color, forming a proper
-    # coloring.  Vertex labels shift down by one after the deletion.
-    gd = induced_subgraph(g, range(1, n))
-    updated = precolor_and_update(
-        gd, ListSystem.full(gd.n), {0: 1, 1: 2, 2: 3}, "exhaustive"
+    # triangle 1, 2, 3 to colors 1, 2, 3 and run unit propagation on the
+    # other live vertices; every one of them must be forced to one color,
+    # and the colors must form a proper coloring.
+    free = (1 << n) - 16  # vertices 4..n-1
+    res = _propagate(g.rows, free | 0b10, free | 0b100, free | 0b1000, 0)
+    ok = res is not None and res[3] == free | 0b1110 and not any(
+        g.rows[v] & p for p in res[:3] for v in bits(p)
     )
-    forced = [cs[0] if len(cs) == 1 else None for cs in updated.to_sets()]
-    ok = None not in forced and all(forced[a] != forced[b] for a, b in gd.edges())
     checks.append(
         PropertyCheck(
             "unique-coloring-after-deleting-v0",
             ok,
-            f"last vertex forced to color {forced[-1]}" if ok
-            else "propagation did not force a proper coloring",
+            f"last vertex forced to color {next(c for c, p in zip(PALETTE, res) if p >> n - 1 & 1)}"
+            if ok else "propagation did not force a proper coloring",
         )
     )
 

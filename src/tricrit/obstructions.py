@@ -10,19 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import ListSystem, l_colorable, lists_to_json
+from .coloring import ListSystem, _l_colorable, l_colorable, lists_to_json
 from .graphs import Graph, induced_subgraph
 
 
 def _colorable_without(g: Graph, l: ListSystem, dead: int) -> bool:
-    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?
-
-    Deleted vertices keep their numbers: each becomes isolated with a
-    one-color list, which changes no answer.
-    """
-    rows = [0 if dead >> v & 1 else row & ~dead for v, row in enumerate(g.rows)]
-    masks = [1 if dead >> v & 1 else m for v, m in enumerate(l.masks)]
-    return l_colorable(Graph.from_rows(rows), ListSystem(masks)) is not None
+    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?"""
+    return _l_colorable(g.rows, l.masks, (1 << g.n) - 1 & ~dead) is not None
 
 
 def is_obstruction(g: Graph, l: ListSystem) -> bool:

@@ -32,6 +32,57 @@ def brute_l_colorable(g: Graph, lists: ListSystem) -> tuple[int, ...] | None:
     return None
 
 
+def l_colorable_reference(g: Graph, l: ListSystem) -> tuple[int, ...] | None:
+    """The queue-based solver that the bitset solver replaced, kept to pin
+    its search tree: the same fail-first branching must return the same
+    coloring.  One vertex mask per vertex; the queue holds the one-color
+    vertices whose color is not yet deleted from their neighbors' lists."""
+    if l.n != g.n:
+        raise ValueError(f"list system has {l.n} entries for a {g.n}-vertex graph")
+    if 0 in l.masks:
+        return None
+    masks = list(l.masks)
+    res = _solve_reference(g.rows, masks, [v for v in range(g.n) if masks[v].bit_count() == 1])
+    if res is None:
+        return None
+    return tuple({1: 1, 2: 2, 4: 3}[m] for m in res)
+
+
+def _solve_reference(rows, masks, queue):
+    # A clash between two one-color neighbors shows up as an emptied list.
+    while queue:
+        v = queue.pop()
+        bit = masks[v]
+        m = rows[v]
+        while m:
+            b = m & -m
+            m ^= b
+            u = b.bit_length() - 1
+            mu = masks[u]
+            if mu & bit:
+                mu &= ~bit
+                if not mu:
+                    return None
+                masks[u] = mu
+                if mu.bit_count() == 1:
+                    queue.append(u)
+    pick = min(
+        (v for v, m in enumerate(masks) if m.bit_count() > 1),
+        key=lambda v: masks[v].bit_count(),
+        default=None,
+    )
+    if pick is None:
+        return masks
+    for b in (1, 2, 4):
+        if masks[pick] & b:
+            branch = masks[:]
+            branch[pick] = b
+            res = _solve_reference(rows, branch, [pick])
+            if res is not None:
+                return res
+    return None
+
+
 def is_iso_brute(g1: Graph, g2: Graph) -> bool:
     """Isomorphism by permutation backtracking with degree pruning."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():

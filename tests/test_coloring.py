@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tricrit.coloring import (
     ListSystem,
     PartialColoring,
+    _propagate,
     l_colorable,
     lists_from_json,
     lists_to_json,
@@ -20,7 +21,13 @@ from tricrit.coloring import (
 from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import Graph, complete_graph, cycle_graph, induced_subgraph, path_graph
 
-from oracles import brute_l_colorable, random_graph, random_lists, update_wrt_set_reference
+from oracles import (
+    brute_l_colorable,
+    l_colorable_reference,
+    random_graph,
+    random_lists,
+    update_wrt_set_reference,
+)
 
 
 def test_list_system_basics():
@@ -100,6 +107,36 @@ def test_l_colorable_agrees_with_brute(seed, n, allow_empty):
             assert c in l.colors(v)
         for u, v in g.edges():
             assert got[u] != got[v]
+
+
+@given(st.integers(0, 2**28), st.integers(0, 10))
+@settings(max_examples=200, deadline=None)
+def test_l_colorable_keeps_the_reference_search_tree(seed, n):
+    # Same branching vertex, same color order, same propagation fixpoint at
+    # every node: the very coloring the queue-based solver returns.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.random())
+    l = ListSystem([7 if rng.random() < 0.5 else rng.randint(0, 7) for _ in range(n)])
+    assert l_colorable(g, l) == l_colorable_reference(g, l)
+
+
+@given(st.integers(0, 2**28), st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_propagate_matches_exhaustive_update(seed, n):
+    # With the one-color vertices forced, the round-based update clashes
+    # exactly when unit propagation does, and otherwise reaches its lists.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.random())
+    l = ListSystem([rng.choice((1, 2, 4, 7, rng.randint(1, 7))) for _ in range(n)])
+    out = update_wrt_set_detailed(g, l, [v for v in range(n) if l.size(v) == 1], "exhaustive")
+    classes = (sum(1 << v for v in range(n) if l.masks[v] & c) for c in (1, 2, 4))
+    res = _propagate(g.rows, *classes, 0)
+    assert (res is None) == out.conflict
+    if res is not None:
+        p1, p2, p3, done = res
+        masks = tuple(p1 >> v & 1 | (p2 >> v & 1) << 1 | (p3 >> v & 1) << 2 for v in range(n))
+        assert masks == out.lists.masks
+        assert done == sum(1 << v for v in out.fixed)
 
 
 def test_update_from_example():

@@ -18,6 +18,7 @@ from tricrit.graphs import (
 )
 from tricrit.obstructions import (
     ObstructionReport,
+    _colorable_without,
     critical_vertices,
     dominates,
     extract_minimal,
@@ -149,17 +150,19 @@ def test_extract_minimal_sheds_padding_like_restart_scan():
 
 
 def count_solves(monkeypatch) -> list:
-    """Count the solver calls made through ``tricrit.obstructions``."""
+    """Count the calls of ``_l_colorable``, the entry every solve goes through."""
+    import tricrit.coloring as coloring
     import tricrit.obstructions as obstructions
 
     calls = []
-    solve = obstructions.l_colorable
+    solve = coloring._l_colorable
 
-    def counting_solve(g, l):
-        calls.append(g)
-        return solve(g, l)
+    def counting_solve(rows, masks, alive):
+        calls.append(alive)
+        return solve(rows, masks, alive)
 
-    monkeypatch.setattr(obstructions, "l_colorable", counting_solve)
+    for mod in (coloring, obstructions):
+        monkeypatch.setattr(mod, "_l_colorable", counting_solve)
     return calls
 
 
@@ -167,7 +170,7 @@ def test_extract_minimal_solves_once_per_vertex(monkeypatch):
     calls = count_solves(monkeypatch)
     g, l = k4_plus_isolated(10)
     assert extract_minimal(g, l)[0] == (0, 1, 2, 3)
-    assert len(calls) <= g.n + 1
+    assert len(calls) == g.n + 1
 
 
 def test_obstruction_report_skips_known_critical_vertices(monkeypatch):
@@ -178,7 +181,29 @@ def test_obstruction_report_skips_known_critical_vertices(monkeypatch):
     rep = obstruction_report(g, l)
     assert rep.non_critical == tuple(range(4, 14))
     assert rep.extracted[0] == (0, 1, 2, 3)
-    assert len(calls) <= 1 + g.n + len(rep.non_critical)
+    assert len(calls) == 1 + g.n + len(rep.non_critical) == 25
+
+
+def test_colorable_without_counts_only_live_empty_lists():
+    # No list has one color, so no propagation runs before the first branch;
+    # the empty list decides the answer only while its vertex is live.
+    g = path_graph(3)
+    l = ListSystem.from_sets([(1, 2), (), (2, 3)])
+    assert l_colorable(g, l) is None
+    assert not _colorable_without(g, l, 0b001)
+    assert _colorable_without(g, l, 0b010)
+
+
+@given(st.integers(0, 2**28), st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_colorable_without_agrees_with_brute(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.random())
+    l = ListSystem([7 if rng.random() < 0.5 else rng.randint(0, 7) for _ in range(n)])
+    dead = rng.getrandbits(n)
+    keep = [v for v in range(n) if not dead >> v & 1]
+    sub = induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep)
+    assert _colorable_without(g, l, dead) == (brute_l_colorable(*sub) is not None)
 
 
 def test_dominates():
