@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import multiprocessing
 
@@ -211,16 +212,31 @@ def test_emitted_stream_matches_brute_force():
         assert buf.getvalue() == "".join(f"{k} {cs} {es}\n" for k, cs, es in expected), names
 
 
+# The emitted streams of the generic matcher, pinned by line count and
+# SHA-256.  The uncached oracle below shares PatternSearch with the search,
+# so only these digests catch a fault in the matcher itself.  CI checks the
+# 2P3 stream from pool workers against its digest here.
+MATCHER_STREAMS = [
+    (["2P3"], 9, 33_911, "605e6d7be9a3bba44a1a3a8b2a5057a88a1d64ff4705af4a39fb3c9f11fad366"),
+    (["claw"], 9, 8_947, "a8fabc310b4486394aac0820b5d810c8aa0fac095bb607e7517eb49fa24747e8"),
+    (["P4+2P1"], 9, 44_467, "0934e349be15f00057a86a4494e77d5bcb418e168a3d7b5d7c7e350790cd85f3"),
+    (["2P2+P1"], 9, 4_481, "ab024d34059bb5d0d996faff8a35d6894c188667522867e8e74a4c8d5a0c9d4a"),
+    (["P6", "claw"], 10, 615, "326510e06a98904b9a7bbb9cc75153a6005a0980ddd7c0e98882d451630c80a5"),
+]
+
+
 @pytest.mark.parametrize(
-    "names, max_n",
-    [(["2P3"], 9), (["claw"], 9), (["P4+2P1"], 9), (["2P2+P1"], 9), (["P6", "claw"], 10)],
+    "names, max_n, total, digest",
+    MATCHER_STREAMS,
     ids=["2P3", "claw", "P4+2P1", "2P2+P1", "P6+claw"],
 )
-def test_emitted_stream_matches_uncached_search(monkeypatch, names, max_n):
+def test_emitted_stream_matches_uncached_search(monkeypatch, names, max_n, total, digest):
     # Witnesses live down many levels when the driver runs the whole
     # search (split at max_n), and P4+2P1 leaves witnesses with an empty
     # row r, from copies where the new vertex is isolated.
     expected = dfs_stream_uncached([pattern_graph(x) for x in names], max_n)
+    assert expected.count("\n") == total, names
+    assert hashlib.sha256(expected.encode()).hexdigest() == digest, names
     for split in (propagation._SPLIT_DEPTH, max_n):
         monkeypatch.setattr(propagation, "_SPLIT_DEPTH", split)
         buf = io.StringIO()
