@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import PALETTE, ListSystem, _propagate, update_along_path
-from .graphs import MAX_VERTICES, Graph, PatternSearch, bits, find_induced_embedding
+from .graphs import MAX_VERTICES, Graph, _search, bits, find_induced_embedding, pattern_graph
 from .obstructions import is_4_vertex_critical, is_minimal_obstruction
 
 
@@ -90,7 +90,7 @@ def verify_Gr(r: int) -> FamilyReport:
     # G_r is circulant: rotating by -u maps an induced copy through u onto
     # one through vertex 0, so searching through vertex 0 decides freeness.
     for name in ("2P2+P1", "P7"):
-        found = PatternSearch(name).through(g.rows, (1 << n) - 1, 0)
+        found = _search(pattern_graph(name)).through(g.rows, (1 << n) - 1, 0)
         checks.append(
             PropertyCheck(f"{name}-free", not found, "induced copy through vertex 0" if found else "")
         )

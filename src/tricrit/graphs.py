@@ -91,21 +91,6 @@ class Graph:
         full = (1 << self.n) - 1
         return Graph.from_rows([full & ~r & ~(1 << v) for v, r in enumerate(self.rows)])
 
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image under ``perm``: vertex v of self becomes perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertex set")
-        rows = [0] * self.n
-        for v, row in enumerate(self.rows):
-            acc = 0
-            m = row
-            while m:
-                b = m & -m
-                m ^= b
-                acc |= 1 << perm[b.bit_length() - 1]
-            rows[perm[v]] = acc
-        return Graph.from_rows(rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
@@ -304,11 +289,14 @@ class PatternSearch:
     """The anchored check for one pattern, built once per pattern.
 
     A path goes to the walker :func:`has_induced_path_through`; any other
-    pattern goes to the matcher :func:`_embed`, once with each pattern
-    vertex on the anchor.  The match order that starts at pattern vertex p
-    is built the first time the search needs it, so a large pattern whose
-    first order already finds a copy never pays for the others.  Instances
-    pickle, so worker processes can share them.
+    pattern goes to the matcher :func:`_embed`, once per orbit of Aut(H),
+    with the orbit's lowest vertex on the anchor: a copy with p on the
+    anchor, composed with an automorphism that maps q to p, has q there.
+    Vertex p is decided the first time the search reaches it: it joins the
+    orbit of an earlier kept q of its degree iff ``_embed`` embeds H into
+    itself with q on p, since an induced self-embedding is an automorphism.
+    So a large pattern whose first order finds a copy pays for no other
+    order and no orbit test.  Instances pickle, so workers can share them.
     """
 
     __slots__ = ("h", "path", "orders")
@@ -316,8 +304,9 @@ class PatternSearch:
     def __init__(self, h):
         self.h = pattern_graph(h)
         self.path = _as_path_length(self.h)
-        # orders[p] starts at pattern vertex p; None until first used.  The
-        # empty pattern has one empty order, so every anchor holds a copy.
+        # orders[p] is None until p is decided, then the match order that
+        # starts at p if p represents its orbit, else False.  The empty
+        # pattern has one empty order, so every anchor holds a copy.
         self.orders = [None] * self.h.n or [()]
 
     def through(self, rows: Sequence[int], alive: int, anchor: int) -> int:
@@ -342,13 +331,19 @@ class PatternSearch:
 
     def embedding(self, rows: Sequence[int], alive: int, anchor: int) -> list[int] | None:
         """The matcher's image of a copy that uses ``anchor``, or None."""
-        orders = self.orders
+        h, orders = self.h, self.orders
         for p, order in enumerate(orders):
             if order is None:
-                order = orders[p] = _match_order(self.h, p)
-            image = _embed(rows, alive, self.h, order, anchor)
-            if image is not None:
-                return image
+                hrows, deg = h.rows, h.rows[p].bit_count()
+                order = orders[p] = not any(
+                    o and hrows[o[0]].bit_count() == deg
+                    and _embed(hrows, (1 << h.n) - 1, h, o, p) is not None
+                    for o in orders[:p]
+                ) and _match_order(h, p)
+            if order is not False:
+                image = _embed(rows, alive, h, order, anchor)
+                if image is not None:
+                    return image
         return None
 
 

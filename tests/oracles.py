@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Sequence
 
 from tricrit.coloring import ListSystem, UpdateOutcome
@@ -151,6 +151,26 @@ def is_witness_brute(g: Graph, h: Graph, alive: int, a: int, mask: int) -> bool:
         and mask.bit_count() == h.n
         and is_iso_brute(induced_subgraph(g, bits(mask)), h)
     )
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Image of ``g`` under ``perm``: vertex v becomes perm[v]."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def automorphism_orbits_brute(h: Graph) -> list[list[int]]:
+    """The orbits of Aut(h), each sorted, ordered by lowest vertex; every
+    permutation of the vertex set is tried, so h has at most 7 vertices."""
+    if h.n > 7:
+        raise ValueError(f"brute-force orbits need at most 7 vertices, got {h.n}")
+    edges = h.edges()
+    auts = [
+        perm for perm in permutations(range(h.n))
+        if all(h.rows[perm[u]] >> perm[v] & 1 for u, v in edges)
+    ]
+    return sorted(map(sorted, {frozenset(perm[v] for perm in auts) for v in range(h.n)}))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricrit import graphs
 from tricrit.graphs import (
     Graph,
     Graph6Error,
@@ -30,6 +31,7 @@ from tricrit.graphs import (
 )
 
 from oracles import (
+    automorphism_orbits_brute,
     canonical_form,
     contains_induced_brute,
     contains_induced_through_brute,
@@ -37,6 +39,7 @@ from oracles import (
     is_iso_brute,
     is_witness_brute,
     random_graph,
+    relabel,
 )
 
 
@@ -176,27 +179,53 @@ def test_path_walker_agrees_with_brute_at_every_anchor(seed, n):
             assert not mask or is_witness_brute(g, p, full, a, mask), (g, t, a, mask)
 
 
+# A smallest graph with no automorphism but the identity.
+ASYMMETRIC_6 = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (3, 5)])
+
+
 @given(
     st.integers(0, 2**28),
     st.integers(0, 8),
     st.sampled_from(
         ["P2", "P3", "P4", "P5", "P6", "P7"]
-        + ["2P3", "claw", "C3", "C4", "C5", "2P2+P1", "P4+1P1", "P4+2P1"]
+        + ["2P3", "claw", "C3", "C4", "C5", "2P2+P1", "P4+1P1", "P4+2P1", "P4+3P1"]
+        + [Graph(3), ASYMMETRIC_6]
     ),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_anchored_matcher_agrees_with_brute(seed, n, name):
     # Both arms of the search: the mask of the copy found, or 0.  A copy's
     # mask is a witness, so it must hold exactly a copy of the pattern.
+    # The symmetric patterns (C5, 3K1, claw, P4+3P1) search from one
+    # vertex per orbit and skip the rest; the asymmetric one skips none.
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
-    h = pattern_graph(name)
+    _check_every_anchor(g, pattern_graph(name))
+
+
+def _check_every_anchor(g: Graph, h: Graph) -> None:
     search = PatternSearch(h)
-    full = (1 << n) - 1
-    for a in range(n):
+    full = (1 << g.n) - 1
+    for a in range(g.n):
         mask = search.through(g.rows, full, a)
-        assert bool(mask) == contains_induced_through_brute(g, h, a), (g, name, a)
-        assert not mask or is_witness_brute(g, h, full, a, mask), (g, name, a, mask)
+        assert bool(mask) == contains_induced_through_brute(g, h, a), (g, h, a)
+        assert not mask or is_witness_brute(g, h, full, a, mask), (g, h, a, mask)
+
+
+def test_anchored_matcher_agrees_with_brute_on_planted_copies():
+    # Hosts at least as large as the pattern, half of them with a copy
+    # planted on random vertices, so that each pattern vertex, kept or
+    # skipped, lands on many anchors that have a copy through them.
+    rng = random.Random(11)
+    for h in [pattern_graph(x) for x in ("C5", "claw", "P4+3P1")] + [Graph(3), ASYMMETRIC_6]:
+        for _ in range(30):
+            n = rng.randint(h.n, 8)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            if rng.random() < 0.5:
+                spot = rng.sample(range(n), h.n)
+                edges = [(u, v) for u, v in g.edges() if u not in spot or v not in spot]
+                g = Graph(n, edges + [(spot[a], spot[b]) for a, b in h.edges()])
+            _check_every_anchor(g, h)
 
 
 def test_large_pattern_builds_match_orders_on_demand():
@@ -207,13 +236,70 @@ def test_large_pattern_builds_match_orders_on_demand():
     assert sum(order is not None for order in _search(c128).orders) == 1
 
 
+def _kept(search: PatternSearch) -> list[int]:
+    """The pattern vertices the search keeps a match order for, once an
+    anchored miss (no live vertex) has decided every one."""
+    assert search.embedding((0,), 0, 0) is None or not search.h.n
+    assert None not in search.orders
+    return [p for p, order in enumerate(search.orders) if order]
+
+
+def test_pattern_search_keeps_one_order_per_orbit():
+    # Exactly the lowest vertex of each orbit of Aut(H) keeps an order.
+    rng = random.Random(7)
+    rigid = []
+    while len(rigid) < 4:
+        g = random_graph(rng, 7, 0.4)
+        if len(automorphism_orbits_brute(g)) == 7:
+            rigid.append(g)
+    named = [pattern_graph(x) for x in ("C5", "claw", "2P3", "2P2+P1", "P4+3P1")]
+    for h in graphs_upto(6) + named + rigid:
+        reps = [orbit[0] for orbit in automorphism_orbits_brute(h)]
+        assert _kept(PatternSearch(h)) == reps, h
+    # C12 is vertex-transitive: one orbit, too large for the brute force.
+    assert _kept(PatternSearch("C12")) == [0]
+
+
+def test_anchored_miss_searches_once_per_orbit(monkeypatch):
+    # Once every vertex is decided, an anchored miss runs the matcher once
+    # per orbit, from its lowest vertex.  C7 holds none of these patterns.
+    calls = []
+    embed = graphs._embed
+
+    def counted(rows, alive, h, order, anchor):
+        calls.append(order[0])
+        return embed(rows, alive, h, order, anchor)
+
+    monkeypatch.setattr(graphs, "_embed", counted)
+    c7 = cycle_graph(7)
+    cases = (
+        ("2P3", [0, 1]), ("claw", [0, 1]), ("2P2+P1", [0, 4]),
+        ("P4+3P1", [0, 1, 4]), ("C5", [0]),
+    )
+    for name, reps in cases:
+        search = PatternSearch(name)
+        assert not search.through(c7.rows, (1 << 7) - 1, 0)
+        calls.clear()
+        assert not search.through(c7.rows, (1 << 7) - 1, 3)
+        assert calls == reps, name
+    # C12 on a long path: the first miss tests vertices 1..11 against the
+    # order from 0 (each an automorphism), then searches with that one
+    # order; it builds no other.
+    p20 = path_graph(20)
+    search = PatternSearch("C12")
+    calls.clear()
+    assert not search.through(p20.rows, (1 << 20) - 1, 10)
+    assert calls == [0] * 12
+    assert sum(isinstance(order, tuple) for order in search.orders) == 1
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
 
 def test_canonical_form_examples():
     p3 = path_graph(3)
-    assert canonical_form(p3) == canonical_form(p3.relabel([2, 0, 1]))
+    assert canonical_form(p3) == canonical_form(relabel(p3, [2, 0, 1]))
     assert canonical_form(p3) != canonical_form(complete_graph(3))
 
 
@@ -226,7 +312,7 @@ def test_canonical_form_relabelings_of_circulant():
     for _ in range(100):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert canonical_form(g.relabel(perm)) == base
+        assert canonical_form(relabel(g, perm)) == base
 
 
 @given(st.integers(0, 2**28), st.integers(1, 8))
@@ -240,7 +326,7 @@ def test_canonical_form_permutation_invariance(seed, n):
     relabeled_classes = [0] * n
     for v in range(n):
         relabeled_classes[perm[v]] = classes[v]
-    assert canonical_form(g.relabel(perm), relabeled_classes) == canonical_form(g, classes)
+    assert canonical_form(relabel(g, perm), relabeled_classes) == canonical_form(g, classes)
 
 
 @given(st.integers(0, 2**28))
@@ -260,7 +346,7 @@ def test_canonical_form_distinguishes_classes():
     # class-preserving relabeling of a colored path
     p4 = path_graph(4)
     assert canonical_form(p4, [1, 0, 0, 1]) == canonical_form(
-        p4.relabel([3, 2, 1, 0]), [1, 0, 0, 1]
+        relabel(p4, [3, 2, 1, 0]), [1, 0, 0, 1]
     )
     with pytest.raises(ValueError):
         canonical_form(p2, [0])

@@ -36,6 +36,7 @@ from oracles import (
     instance_propagation_lambda,
     random_graph,
     random_lists,
+    relabel,
 )
 
 
@@ -133,7 +134,7 @@ def padded_Hr(rng, r, pads):
     masks = [0] * n
     for v, m in enumerate(list(l.masks) + [FULL_MASK] * pads):
         masks[perm[v]] = m
-    return Graph(n, edges).relabel(perm), ListSystem(masks), sorted(perm[: g.n])
+    return relabel(Graph(n, edges), perm), ListSystem(masks), sorted(perm[: g.n])
 
 
 def test_extract_minimal_sheds_padding_like_restart_scan():
