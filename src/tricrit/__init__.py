@@ -10,14 +10,13 @@ a forbidden pattern H whether the associated obstruction classes are finite.
 from .graphs import (
     Graph,
     Graph6Error,
-    Pattern,
     components,
-    anticomponents,
     contains_induced,
     find_induced_embedding,
     has_induced_path,
     induced_subgraph,
     parse_graph6,
+    parse_pattern,
     write_graph6,
 )
 from .coloring import (

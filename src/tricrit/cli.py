@@ -16,7 +16,7 @@ import sys
 from .coloring import ListSystem, l_colorable, lists_from_json, lists_to_json
 from .dichotomy import classify, describe
 from .families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
-from .graphs import Graph, Graph6Error, Pattern, parse_graph6, write_graph6
+from .graphs import Graph, Graph6Error, parse_graph6, parse_pattern, write_graph6
 from .obstructions import is_4_vertex_critical, obstruction_report
 from .propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
@@ -54,111 +54,94 @@ def _load_lists(path: str, n: int) -> ListSystem:
     return lists
 
 
+def _load_instance(args: argparse.Namespace) -> tuple[Graph, ListSystem]:
+    """The graph of ``--graph`` and the lists of ``--lists``, by default the
+    full palette at every vertex."""
+    g = _load_graph(args.graph)
+    return g, _load_lists(args.lists, g.n) if args.lists else ListSystem.full(g.n)
+
+
+def _print(args: argparse.Namespace, obj, lines) -> None:
+    """The one output path: ``obj`` as one JSON line under ``--format json``,
+    else ``lines``, one per line."""
+    if args.format == "json":
+        print(json.dumps(obj))
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     # Bad pattern names, --max-n outside 0..MAX_ENUM_LENGTH and --jobs below 1
     # raise ValueError, which main reports as unusable input.
-    patterns = [Pattern.parse(name) for name in args.forbidden]
+    patterns = [parse_pattern(name) for name in args.forbidden]
     result = enumerate_propagation_paths(
         patterns, args.max_n, emit=args.emit, jobs=args.jobs
     )
-    if args.format == "json":
-        print(json.dumps({"counts": list(result.counts), "max_length": result.max_length}))
-    else:
-        for k in range(1, args.max_n + 1):
-            print(f"{k}\t{result.count_at(k)}")
-        print(f"max_length\t{result.max_length}")
-    if [p.name for p in patterns] == ["P6"]:
-        upto = min(args.max_n, len(P6_REFERENCE_COUNTS))
-        bad = [
-            (k, result.count_at(k), P6_REFERENCE_COUNTS[k - 1])
-            for k in range(1, upto + 1)
-            if result.count_at(k) != P6_REFERENCE_COUNTS[k - 1]
-        ]
-        if bad:
-            for k, got, want in bad:
-                print(f"length {k}: got {got}, reference says {want}", file=sys.stderr)
-            return 1
-    return 0
+    _print(args, {"counts": list(result.counts), "max_length": result.max_length},
+           [f"{k}\t{c}" for k, c in enumerate(result.counts, 1)]
+           + [f"max_length\t{result.max_length}"])
+    if [name.strip() for name in args.forbidden] != ["P6"]:
+        return 0
+    pairs = enumerate(zip(result.counts, P6_REFERENCE_COUNTS), 1)
+    bad = [(k, got, want) for k, (got, want) in pairs if got != want]
+    for k, got, want in bad:
+        print(f"length {k}: got {got}, reference says {want}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    lists = (
-        _load_lists(args.lists, g.n) if args.lists else ListSystem.full(g.n)
-    )
-    coloring = l_colorable(g, lists)
+    coloring = l_colorable(*_load_instance(args))
     if coloring is None:
-        print("UNSAT")
+        _print(args, {"coloring": None}, ["UNSAT"])
         return 1
-    if args.format == "json":
-        print(json.dumps({"coloring": list(coloring)}))
-    else:
-        for v, c in enumerate(coloring):
-            print(f"{v}\t{c}")
+    _print(args, {"coloring": list(coloring)}, [f"{v}\t{c}" for v, c in enumerate(coloring)])
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    lists = (
-        _load_lists(args.lists, g.n) if args.lists else ListSystem.full(g.n)
-    )
-    report = obstruction_report(g, lists)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(f"colorable\t{report.colorable}")
-        print(f"minimal\t{report.minimal}")
-        print(f"non_critical\t{','.join(map(str, report.non_critical)) or '-'}")
-        if report.extracted is not None:
-            print(f"extracted\t{','.join(map(str, report.extracted[0]))}")
+    report = obstruction_report(*_load_instance(args))
+    lines = [
+        f"colorable\t{report.colorable}",
+        f"minimal\t{report.minimal}",
+        f"non_critical\t{','.join(map(str, report.non_critical)) or '-'}",
+    ]
+    if report.extracted is not None:
+        lines.append(f"extracted\t{','.join(map(str, report.extracted[0]))}")
+    _print(args, report.to_json_dict(), lines)
     return 0 if not report.colorable and report.minimal else 1
 
 
 def cmd_critical(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    verdict = is_4_vertex_critical(g)
-    if args.format == "json":
-        print(json.dumps({"four_vertex_critical": verdict}))
-    else:
-        print(f"four_vertex_critical\t{verdict}")
+    verdict = is_4_vertex_critical(_load_graph(args.graph))
+    _print(args, {"four_vertex_critical": verdict}, [f"four_vertex_critical\t{verdict}"])
     return 0 if verdict else 1
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    if args.name == "Gr":
-        if args.verify:
-            report = verify_Gr(args.r)
-        else:
-            print(write_graph6(gen_Gr(args.r)))
-            return 0
-    elif args.name == "Hr":
-        if args.verify:
-            report = verify_Hr(args.r)
-        else:
-            g, lists = gen_Hr(args.r)
-            if args.format == "json":
-                print(json.dumps({"graph6": write_graph6(g), "lists": lists_to_json(lists)}))
-            else:
-                print(write_graph6(g))
-                print(json.dumps(lists_to_json(lists)))
-            return 0
-    else:
+    if args.name not in ("Gr", "Hr"):
         raise _UsageError(f"--name must be Gr or Hr, got {args.name!r}")
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        for check in report.checks:
-            state = "PASS" if check.passed else "FAIL"
-            tail = f"\t{check.details}" if check.details else ""
-            print(f"{check.name}\t{state}{tail}")
-    return 0 if report.passed else 1
+    if args.verify:
+        report = (verify_Gr if args.name == "Gr" else verify_Hr)(args.r)
+        _print(args, report.to_json_dict(), [
+            f"{check.name}\t{'PASS' if check.passed else 'FAIL'}"
+            + (f"\t{check.details}" if check.details else "")
+            for check in report.checks
+        ])
+        return 0 if report.passed else 1
+    if args.name == "Gr":
+        print(write_graph6(gen_Gr(args.r)))
+        return 0
+    g, lists = gen_Hr(args.r)
+    obj = {"graph6": write_graph6(g), "lists": lists_to_json(lists)}
+    _print(args, obj, [obj["graph6"], json.dumps(obj["lists"])])
+    return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     text = args.pattern
     try:
-        target = Pattern.parse(text)
+        target = parse_pattern(text)
     except ValueError:
         try:
             target = parse_graph6(text)
@@ -167,15 +150,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"{text!r} is neither a recognized pattern name nor valid graph6"
             )
     verdict = classify(target)
-    if args.format == "json":
-        out = verdict.to_json_dict()
-        out["summary"] = describe(verdict)
-        print(json.dumps(out))
-    else:
-        print(f"case\t{verdict.case}")
-        print(f"finite_vertex_critical\t{verdict.finite_vertex_critical}")
-        print(f"finite_list_obstructions\t{verdict.finite_list_obstructions}")
-        print(describe(verdict))
+    summary = describe(verdict)
+    _print(args, {**verdict.to_json_dict(), "summary": summary}, [
+        f"case\t{verdict.case}",
+        f"finite_vertex_critical\t{verdict.finite_vertex_critical}",
+        f"finite_list_obstructions\t{verdict.finite_list_obstructions}",
+        summary,
+    ])
     return 0
 
 

@@ -73,11 +73,6 @@ class ListSystem:
     def colors(self, v: int) -> tuple[int, ...]:
         return mask_colors(self.masks[v])
 
-    def with_mask(self, v: int, mask: int) -> "ListSystem":
-        ms = list(self.masks)
-        ms[v] = mask
-        return ListSystem(ms)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ListSystem) and self.masks == other.masks
 
@@ -99,6 +94,10 @@ def lists_from_json(obj) -> ListSystem:
     lists = obj["lists"]
     if not isinstance(n, int) or not isinstance(lists, list) or len(lists) != n:
         raise ValueError(f"list-system JSON needs exactly n={n} lists")
+    for v, cs in enumerate(lists):
+        # type() rather than isinstance(): JSON true is a bool, which is an int.
+        if not isinstance(cs, list) or any(type(c) is not int for c in cs):
+            raise ValueError(f"the list of vertex {v} must be a list of integers, got {cs!r}")
     return ListSystem.from_sets(lists)
 
 
@@ -112,9 +111,6 @@ class PartialColoring:
         for v, c in enumerate(self.colors):
             if c is not None and c not in PALETTE:
                 raise ValueError(f"color {c} at vertex {v} outside the palette")
-
-    def defined(self) -> list[int]:
-        return [v for v, c in enumerate(self.colors) if c is not None]
 
     def __getitem__(self, v: int) -> int | None:
         return self.colors[v]
@@ -228,7 +224,9 @@ def update_from(g: Graph, l: ListSystem, w: int, v: int) -> ListSystem:
         raise ValueError(f"vertex {w} must have a one-color list, has {l.colors(w)}")
     if not g.has_edge(w, v):
         raise ValueError(f"vertices {w} and {v} are not adjacent")
-    return l.with_mask(v, l.masks[v] & ~l.masks[w])
+    masks = list(l.masks)
+    masks[v] &= ~masks[w]
+    return ListSystem(masks)
 
 
 def update_along_path(

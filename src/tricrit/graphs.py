@@ -54,11 +54,7 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(rows):
-            m = row
-            while m:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
+            for u in bits(row):
                 if not rows[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric between {u} and {v}")
         g.n = n
@@ -75,21 +71,10 @@ class Graph:
         return bits(self.rows[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            m = self.rows[v] >> (v + 1) << (v + 1)
-            while m:
-                b = m & -m
-                m ^= b
-                out.append((v, b.bit_length() - 1))
-        return out
+        return [(v, u) for v in range(self.n) for u in bits(self.rows[v] >> (v + 1) << (v + 1))]
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph.from_rows([full & ~r & ~(1 << v) for v, r in enumerate(self.rows)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -125,10 +110,6 @@ def cycle_graph(t: int) -> Graph:
     return Graph(t, [(i, (i + 1) % t) for i in range(t)])
 
 
-def complete_graph(t: int) -> Graph:
-    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
-
-
 def claw_graph() -> Graph:
     return Graph(4, [(0, 1), (0, 2), (0, 3)])
 
@@ -147,62 +128,49 @@ _PATTERN_RE_CYCLE = re.compile(r"^C(\d+)$")
 _PATTERN_RE_P4KP1 = re.compile(r"^P4\+(\d+)P1$")
 
 
-class Pattern:
-    """A forbidden pattern: a named small graph or an explicit :class:`Graph`.
+def parse_pattern(text: str) -> Graph:
+    """The graph of a named forbidden pattern.
 
     Recognized names are paths ``P1``..``P12``, cycles ``C3``..``C12``,
     ``claw``, ``2P2+P1``, ``2P3`` and the parametric family ``P4+kP1``
     written with an explicit integer k, for example ``P4+3P1``.
+    Surrounding whitespace is ignored.
     """
-
-    __slots__ = ("name", "graph")
-
-    def __init__(self, name: str | None, graph: Graph):
-        self.name = name
-        self.graph = graph
-
-    @classmethod
-    def parse(cls, text: str) -> "Pattern":
-        text = text.strip()
-        m = _PATTERN_RE_PATH.match(text)
-        if m:
-            t = int(m.group(1))
-            if not 1 <= t <= 12:
-                raise ValueError(f"path pattern out of supported range P1..P12: {text}")
-            return cls(text, path_graph(t))
-        m = _PATTERN_RE_CYCLE.match(text)
-        if m:
-            t = int(m.group(1))
-            if not 3 <= t <= 12:
-                raise ValueError(f"cycle pattern out of supported range C3..C12: {text}")
-            return cls(text, cycle_graph(t))
-        if text == "claw":
-            return cls(text, claw_graph())
-        if text == "2P2+P1":
-            return cls(text, disjoint_union(path_graph(2), path_graph(2), path_graph(1)))
-        if text == "2P3":
-            return cls(text, disjoint_union(path_graph(3), path_graph(3)))
-        m = _PATTERN_RE_P4KP1.match(text)
-        if m:
-            k = int(m.group(1))
-            if k < 0 or 4 + k > MAX_VERTICES:
-                raise ValueError(f"unsupported parameter in pattern {text}")
-            return cls(text, disjoint_union(path_graph(4), *[path_graph(1)] * k))
-        raise ValueError(f"unrecognized pattern name: {text!r}")
-
-    def __repr__(self) -> str:
-        return f"Pattern({self.name!r})" if self.name else f"Pattern({self.graph!r})"
+    text = text.strip()
+    m = _PATTERN_RE_PATH.match(text)
+    if m:
+        t = int(m.group(1))
+        if not 1 <= t <= 12:
+            raise ValueError(f"path pattern out of supported range P1..P12: {text}")
+        return path_graph(t)
+    m = _PATTERN_RE_CYCLE.match(text)
+    if m:
+        t = int(m.group(1))
+        if not 3 <= t <= 12:
+            raise ValueError(f"cycle pattern out of supported range C3..C12: {text}")
+        return cycle_graph(t)
+    if text == "claw":
+        return claw_graph()
+    if text == "2P2+P1":
+        return disjoint_union(path_graph(2), path_graph(2), path_graph(1))
+    if text == "2P3":
+        return disjoint_union(path_graph(3), path_graph(3))
+    m = _PATTERN_RE_P4KP1.match(text)
+    if m:
+        k = int(m.group(1))
+        if 4 + k > MAX_VERTICES:
+            raise ValueError(f"unsupported parameter in pattern {text}")
+        return disjoint_union(path_graph(4), *[path_graph(1)] * k)
+    raise ValueError(f"unrecognized pattern name: {text!r}")
 
 
 def pattern_graph(h) -> Graph:
-    """Coerce a Graph, Pattern or pattern name to its Graph."""
+    """Coerce a Graph or pattern name to its Graph."""
     if isinstance(h, Graph):
         return h
-    if isinstance(h, Pattern):
-        return h.graph
     if isinstance(h, str):
-        return Pattern.parse(h).graph
-    raise TypeError(f"expected Graph, Pattern or name, got {type(h).__name__}")
+        return parse_pattern(h)
+    raise TypeError(f"expected Graph or name, got {type(h).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,21 +211,13 @@ def components(g: Graph) -> list[list[int]]:
         frontier = 1 << v
         while frontier:
             nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                nxt |= g.rows[b.bit_length() - 1]
+            for u in bits(frontier):
+                nxt |= g.rows[u]
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
         out.append(bits(comp))
     return out
-
-
-def anticomponents(g: Graph) -> list[list[int]]:
-    """Components of the complement graph."""
-    return components(g.complement())
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,6 @@ class PropConfig:
             raise ValueError(f"vertex index {i} out of range 1..{self.k}")
         return self.colors[i - 1]
 
-    def list_at(self, i: int) -> tuple[int, ...]:
-        """The implied color list at v_i: {1} at the start, else the last two colors."""
-        if not 1 <= i <= self.k:
-            raise ValueError(f"vertex index {i} out of range 1..{self.k}")
-        if i == 1:
-            return (1,)
-        return tuple(sorted({self.colors[i - 1], self.colors[i - 2]}))
-
     def graph(self) -> Graph:
         edges = [(i, i + 1) for i in range(self.k - 1)]
         edges.extend((i - 1, j - 1) for i, j in self.extra_edges)
@@ -286,9 +278,9 @@ def enumerate_propagation_paths(
 ) -> EnumerationResult:
     """Count pattern-free configurations of every length up to ``max_n``.
 
-    ``forbidden`` is a collection of patterns (graphs, Pattern objects or
-    names).  ``emit``, if given, is a writable text sink or a file path;
-    accepted configurations are written one per line as
+    ``forbidden`` is a collection of patterns (graphs or names).  ``emit``,
+    if given, is a writable text sink or a file path; accepted
+    configurations are written one per line as
     ``<length> <colors> <chords>`` in sorted order, one write per length.
     ``jobs`` farms subtrees out to worker processes; results do not depend
     on it.  The pool never exceeds the machine's core count — the work is
@@ -341,19 +333,3 @@ def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
                 sink.write("".join(f"{k} {cs} {es}\n" for _, cs, es in group))
     return EnumerationResult(tuple(counts))
 
-
-def parse_emitted_line(line: str) -> PropConfig:
-    """Rebuild a configuration from one line of the emission stream."""
-    parts = line.split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed configuration line: {line!r}")
-    k = int(parts[0])
-    colors = tuple(int(ch) for ch in parts[1])
-    if len(colors) != k:
-        raise ValueError(f"length field {k} disagrees with colors {parts[1]!r}")
-    edges = []
-    if parts[2] != "-":
-        for item in parts[2].split(","):
-            a, b = item.split("-")
-            edges.append((int(a), int(b)))
-    return PropConfig(colors, frozenset(edges))

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from tricrit.coloring import ListSystem, UpdateOutcome
 from tricrit.graphs import Graph
+from tricrit.propagation import PropConfig
 
 # Number of isomorphism classes of simple graphs on 0..8 vertices, the
 # standard census values; used to validate the generated class lists.
@@ -151,6 +152,10 @@ def is_witness_brute(g: Graph, h: Graph, alive: int, a: int, mask: int) -> bool:
         and mask.bit_count() == h.n
         and is_iso_brute(induced_subgraph(g, bits(mask)), h)
     )
+
+
+def complete_graph(t: int) -> Graph:
+    return Graph(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -395,6 +400,23 @@ def chord_ok(cs: tuple[int, ...], i: int, j: int) -> bool:
         if len({cs[i - 1], cs[j - 1], cs[j - 2]}) != 3:
             return False
     return True
+
+
+def parse_emitted_line(line: str) -> PropConfig:
+    """Rebuild a configuration from one line of the emission stream."""
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError(f"malformed configuration line: {line!r}")
+    k = int(parts[0])
+    colors = tuple(int(ch) for ch in parts[1])
+    if len(colors) != k:
+        raise ValueError(f"length field {k} disagrees with colors {parts[1]!r}")
+    edges = []
+    if parts[2] != "-":
+        for item in parts[2].split(","):
+            a, b = item.split("-")
+            edges.append((int(a), int(b)))
+    return PropConfig(colors, frozenset(edges))
 
 
 def config_graph(k: int, chords) -> Graph:

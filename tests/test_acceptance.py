@@ -13,7 +13,6 @@ from tricrit.families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from tricrit.graphs import (
     Graph,
     PatternSearch,
-    complete_graph,
     contains_induced,
     cycle_graph,
     disjoint_union,
@@ -29,6 +28,7 @@ from oracles import (
     assert_minimal_obstruction_sane,
     brute_count_configs,
     brute_l_colorable,
+    complete_graph,
     contains_induced_brute,
     contains_induced_through_brute,
     graphs_on,

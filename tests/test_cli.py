@@ -7,11 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from tricrit import cli
 from tricrit.cli import main
 from tricrit.coloring import ListSystem, lists_to_json
 from tricrit.families import gen_Hr
-from tricrit.graphs import complete_graph, cycle_graph, write_graph6
+from tricrit.graphs import Graph, cycle_graph, write_graph6
 from tricrit.propagation import P6_REFERENCE_COUNTS
+
+from oracles import complete_graph
 
 
 def run(capsys, *argv):
@@ -67,6 +72,23 @@ def test_enumerate_bad_pattern(capsys):
     assert "unrecognized pattern name" in err
 
 
+@pytest.mark.parametrize(
+    "names", [["P6"], [" P6"], ["P6", "claw"]], ids=["P6", "spaced-P6", "P6+claw"]
+)
+def test_enumerate_checks_p6_reference(capsys, monkeypatch, names):
+    # One wrong reference entry: only a lone P6 run is compared with it.
+    wrong = list(P6_REFERENCE_COUNTS)
+    wrong[3] += 1
+    monkeypatch.setattr(cli, "P6_REFERENCE_COUNTS", tuple(wrong))
+    argv = [arg for name in names for arg in ("--forbidden", name)]
+    rc, _, err = run(capsys, "enumerate", *argv, "--max-n", "5")
+    if names == ["P6", "claw"]:
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 1
+        assert err == f"length 4: got 22, reference says {wrong[3]}\n"
+
+
 def test_enumerate_rejects_silly_max_n(capsys):
     rc, _, err = run(capsys, "enumerate", "--forbidden", "P6", "--max-n", "65")
     assert rc == 2 and "error" in err
@@ -86,6 +108,27 @@ def test_solve_unsat(capsys, tmp_path):
     rc, out, _ = run(capsys, "solve", "--graph", gpath, "--lists", lpath)
     assert rc == 1
     assert out.strip() == "UNSAT"
+
+
+def test_solve_unsat_json(capsys, tmp_path):
+    gpath, lpath = write_instance(tmp_path, Graph(2, [(0, 1)]), ListSystem.from_sets([[1], [1]]))
+    rc, out, _ = run(capsys, "solve", "--graph", gpath, "--lists", lpath, "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {"coloring": None}
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize(
+    "lists", [[5, [1]], [None, [1]], [[True], [1]], [["1"], [1]]],
+    ids=["int-entry", "null-entry", "true-color", "string-color"],
+)
+def test_malformed_list_entry_exits_2(capsys, tmp_path, command, lists):
+    gpath, _ = write_instance(tmp_path, Graph(2, [(0, 1)]))
+    lpath = tmp_path / "bad.json"
+    lpath.write_text(json.dumps({"n": 2, "lists": lists}))
+    rc, _, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
+    assert rc == 2
+    assert "error" in err and "Traceback" not in err
 
 
 def test_solve_missing_file(capsys, tmp_path):

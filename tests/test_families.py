@@ -8,7 +8,6 @@ from tricrit.families import FamilyReport, gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from tricrit.graphs import (
     Graph,
     PatternSearch,
-    complete_graph,
     contains_induced,
     disjoint_union,
     induced_subgraph,
@@ -17,7 +16,7 @@ from tricrit.graphs import (
 )
 from tricrit.obstructions import is_minimal_obstruction
 
-from oracles import assert_minimal_obstruction_sane, relabel
+from oracles import assert_minimal_obstruction_sane, complete_graph, relabel
 
 
 def test_gen_Gr_smallest_is_k4():
@@ -187,7 +186,8 @@ def test_verifiers_report_broken_members(monkeypatch):
 
     # vertex 1 gets the whole palette, so the arm from vertex 0 stalls at
     # vertex 1 once vertex 2 is deleted
-    monkeypatch.setattr(families, "gen_Hr", lambda r: (g, l.with_mask(1, 0b111)))
+    widened = ListSystem(l.masks[:1] + (0b111,) + l.masks[2:])
+    monkeypatch.setattr(families, "gen_Hr", lambda r: (g, widened))
     failed = failures(verify_Hr(4))
     assert set(failed) == {"two-sided-deletion-colorings"}
     assert failed["two-sided-deletion-colorings"].endswith("deleting vertex 2")

@@ -10,7 +10,6 @@ from tricrit.coloring import FULL_MASK, ListSystem, l_colorable
 from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import (
     Graph,
-    complete_graph,
     cycle_graph,
     disjoint_union,
     induced_subgraph,
@@ -31,6 +30,7 @@ from tricrit.obstructions import (
 from oracles import (
     assert_minimal_obstruction_sane,
     brute_l_colorable,
+    complete_graph,
     extract_minimal_restart,
     graphs_on,
     instance_propagation_lambda,

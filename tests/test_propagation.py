@@ -16,7 +16,6 @@ from tricrit.propagation import (
     admissible_edge,
     enumerate_propagation_paths,
     max_propagation_length,
-    parse_emitted_line,
     satisfies_condition1,
     shape,
 )
@@ -28,6 +27,7 @@ from oracles import (
     config_graph,
     contains_induced_brute,
     dfs_stream_uncached,
+    parse_emitted_line,
 )
 
 
@@ -53,14 +53,10 @@ def test_prop_config_accessors():
     cfg = PropConfig((1, 2, 3), frozenset({(1, 3)}))
     assert cfg.k == 3
     assert cfg.color(2) == 2
-    assert cfg.list_at(1) == (1,)
-    assert cfg.list_at(3) == (2, 3)
     g = cfg.graph()
     assert g.n == 3 and g.edge_count() == 3
     with pytest.raises(ValueError):
         cfg.color(0)
-    with pytest.raises(ValueError):
-        cfg.list_at(4)
 
 
 def test_shape_examples():
