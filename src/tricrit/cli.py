@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .coloring import ListSystem, l_colorable, lists_from_json, lists_to_json
 from .dichotomy import classify, describe
@@ -75,9 +76,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Bad pattern names, --max-n outside 0..MAX_ENUM_LENGTH and --jobs below 1
     # raise ValueError, which main reports as unusable input.
     patterns = [parse_pattern(name) for name in args.forbidden]
-    result = enumerate_propagation_paths(
-        patterns, args.max_n, emit=args.emit, jobs=args.jobs
-    )
+    # Open the emit file first, so a path that cannot be written fails
+    # before the search rather than after it.
+    try:
+        sink = open(args.emit, "w") if args.emit else nullcontext()
+    except OSError as exc:
+        raise _UsageError(f"cannot write emit file {args.emit}: {exc}")
+    with sink as emit:
+        result = enumerate_propagation_paths(patterns, args.max_n, emit=emit, jobs=args.jobs)
     _print(args, {"counts": list(result.counts), "max_length": result.max_length},
            [f"{k}\t{c}" for k, c in enumerate(result.counts, 1)]
            + [f"max_length\t{result.max_length}"])
@@ -130,7 +136,8 @@ def cmd_family(args: argparse.Namespace) -> int:
         ])
         return 0 if report.passed else 1
     if args.name == "Gr":
-        print(write_graph6(gen_Gr(args.r)))
+        g6 = write_graph6(gen_Gr(args.r))
+        _print(args, {"graph6": g6}, [g6])
         return 0
     g, lists = gen_Hr(args.r)
     obj = {"graph6": write_graph6(g), "lists": lists_to_json(lists)}

@@ -33,6 +33,19 @@ def brute_l_colorable(g: Graph, lists: ListSystem) -> tuple[int, ...] | None:
     return None
 
 
+def critical_vertices_brute(g: Graph, lists: ListSystem) -> list[int]:
+    """Vertices whose deletion leaves a colorable instance, by one exhaustive
+    search of each vertex-deleted subgraph."""
+    out = []
+    for v in range(g.n):
+        keep = [u for u in range(g.n) if u != v]
+        new = {u: i for i, u in enumerate(keep)}
+        sub = Graph(g.n - 1, [(new[a], new[b]) for a, b in g.edges() if v not in (a, b)])
+        if brute_l_colorable(sub, ListSystem(lists.masks[u] for u in keep)) is not None:
+            out.append(v)
+    return out
+
+
 def l_colorable_reference(g: Graph, l: ListSystem) -> tuple[int, ...] | None:
     """The queue-based solver that the bitset solver replaced, kept to pin
     its search tree: the same fail-first branching must return the same

@@ -12,7 +12,7 @@ import pytest
 from tricrit import cli
 from tricrit.cli import main
 from tricrit.coloring import ListSystem, lists_to_json
-from tricrit.families import gen_Hr
+from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import Graph, cycle_graph, write_graph6
 from tricrit.propagation import P6_REFERENCE_COUNTS
 
@@ -64,6 +64,15 @@ def test_enumerate_emit_file(capsys, tmp_path):
     lines = out_file.read_text().strip().split("\n")
     assert len(lines) == 31
     assert lines == sorted(lines)
+
+
+def test_enumerate_unwritable_emit_fails_before_search(capsys, monkeypatch, tmp_path):
+    searched = []
+    monkeypatch.setattr(cli, "enumerate_propagation_paths", lambda *a, **k: searched.append(a))
+    bad = str(tmp_path / "missing" / "dir" / "x.txt")
+    rc, out, err = run(capsys, "enumerate", "--forbidden", "P6", "--max-n", "5", "--emit", bad)
+    assert rc == 2 and out == "" and not searched
+    assert err.startswith("error: cannot write emit file") and err.count("\n") == 1
 
 
 def test_enumerate_bad_pattern(capsys):
@@ -188,6 +197,15 @@ def test_family_emit_path_member_json(capsys):
     g, l = gen_Hr(2)
     assert data["graph6"] == write_graph6(g)
     assert ListSystem.from_sets(data["lists"]["lists"]) == l
+
+
+@pytest.mark.parametrize("name", ["Gr", "Hr"])
+def test_family_member_json_parses(capsys, name):
+    rc, out, _ = run(capsys, "family", "--name", name, "--r", "1", "--format", "json")
+    assert rc == 0
+    data = json.loads(out)
+    g = gen_Gr(1) if name == "Gr" else gen_Hr(1)[0]
+    assert data["graph6"] == write_graph6(g)
 
 
 def test_family_verify(capsys):

@@ -18,6 +18,7 @@ from tricrit.graphs import (
 from tricrit.obstructions import (
     ObstructionReport,
     _colorable_without,
+    _peel,
     critical_vertices,
     dominates,
     extract_minimal,
@@ -31,6 +32,7 @@ from oracles import (
     assert_minimal_obstruction_sane,
     brute_l_colorable,
     complete_graph,
+    critical_vertices_brute,
     extract_minimal_restart,
     graphs_on,
     instance_propagation_lambda,
@@ -120,15 +122,14 @@ def test_extract_minimal_output_is_minimal(seed, n):
         assert core_l.masks[idx] == l.masks[v]
 
 
-def padded_Hr(rng, r, pads):
-    """gen_Hr(r) plus full-list vertices, each joined to two earlier
-    vertices, under a random relabelling.  Returns the instance and the
-    new labels of the Hr vertices."""
-    g, l = gen_Hr(r)
+def padded(rng, g, l, pads, degree=2):
+    """(g, l) plus full-list vertices, each joined to ``degree`` earlier
+    vertices, under a random relabelling.  Returns the instance and the new
+    labels of the vertices of g."""
     n = g.n + pads
     edges = list(g.edges())
     for w in range(g.n, n):
-        edges += [(u, w) for u in rng.sample(range(w), 2)]
+        edges += [(u, w) for u in rng.sample(range(w), min(w, degree))]
     perm = list(range(n))
     rng.shuffle(perm)
     masks = [0] * n
@@ -144,7 +145,7 @@ def test_extract_minimal_sheds_padding_like_restart_scan():
     rng = random.Random(7)
     for r in (1, 2, 3, 4):
         for pads in (1, 2, 4):
-            g, l, core_verts = padded_Hr(rng, r, pads)
+            g, l, core_verts = padded(rng, *gen_Hr(r), pads)
             verts, core, core_l = extract_minimal(g, l)
             assert verts == extract_minimal_restart(g, l) == tuple(core_verts)
             assert is_minimal_obstruction(core, core_l)
@@ -168,21 +169,87 @@ def count_solves(monkeypatch) -> list:
 
 
 def test_extract_minimal_solves_once_per_vertex(monkeypatch):
+    # One solve of the whole instance and one per vertex outside the peel:
+    # the isolated vertices have fewer neighbors than colors, so they go
+    # without a solve.
     calls = count_solves(monkeypatch)
     g, l = k4_plus_isolated(10)
     assert extract_minimal(g, l)[0] == (0, 1, 2, 3)
-    assert len(calls) == g.n + 1
+    assert len(calls) == 1 + 4 == 5
 
 
 def test_obstruction_report_skips_known_critical_vertices(monkeypatch):
-    # One solve of the whole instance, one per vertex for criticality, and
-    # the extraction tests only the non-critical vertices.
+    # One solve of the whole instance and one deletion solve, whose coloring
+    # of K4 - 0 certifies 1, 2 and 3; the isolated vertices are peeled, so
+    # neither the criticality test nor the extraction solves for them.
     calls = count_solves(monkeypatch)
     g, l = k4_plus_isolated(10)
     rep = obstruction_report(g, l)
     assert rep.non_critical == tuple(range(4, 14))
     assert rep.extracted[0] == (0, 1, 2, 3)
-    assert len(calls) == 1 + g.n + len(rep.non_critical) == 25
+    assert len(calls) == 2
+
+
+def test_padding_of_Hr_costs_no_solve(monkeypatch):
+    calls = count_solves(monkeypatch)
+    rng = random.Random(11)
+    for r in (1, 2, 3, 4):
+        for pads in (1, 2, 4, 9):
+            g, l, core_verts = padded(rng, *gen_Hr(r), pads)
+            assert _peel(g, l) == sum(1 << v for v in range(g.n) if v not in core_verts)
+            calls.clear()
+            rep = obstruction_report(g, l)
+            assert rep.extracted[0] == tuple(core_verts)
+            assert len(calls) == 2
+            calls.clear()
+            assert extract_minimal(g, l)[0] == tuple(core_verts)
+            assert len(calls) == 1 + len(core_verts)
+
+
+def test_minimality_of_the_families_takes_two_solves(monkeypatch):
+    # The whole-instance solve and the deletion of vertex 0; that coloring's
+    # certificates reach every other vertex.
+    calls = count_solves(monkeypatch)
+    for r in (1, 2, 5, 12):
+        calls.clear()
+        assert is_minimal_obstruction(*gen_Hr(r))
+        assert len(calls) == 2
+        calls.clear()
+        assert is_4_vertex_critical(gen_Gr(r))
+        assert len(calls) == 2
+
+
+def analysis_instance(rng, n):
+    """A random instance on n vertices with lists of mostly one or two
+    colors, some empty; or a padded K4 or H1/H2, some padding vertices with
+    three neighbors so that not all of them peel."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        g = random_graph(rng, n, rng.random())
+        weights = [1] + [4] * 3 + [5] * 3 + [2]  # masks 0, one color, two, three
+        return g, ListSystem(rng.choices(range(8), weights, k=n))
+    core = (complete_graph(4), ListSystem.full(4)) if kind == 1 else gen_Hr(rng.choice((1, 2)))
+    return padded(rng, *core, rng.randint(0, 3), rng.choice((2, 2, 3)))[:2]
+
+
+@given(st.integers(0, 2**28), st.integers(0, 9))
+@settings(max_examples=200, deadline=None)
+def test_analysis_agrees_with_brute(seed, n):
+    g, l = analysis_instance(random.Random(seed), n)
+    if brute_l_colorable(g, l) is not None:
+        with pytest.raises(ValueError):
+            critical_vertices(g, l)
+        assert not is_minimal_obstruction(g, l)
+        assert obstruction_report(g, l).colorable
+        return
+    crit = critical_vertices_brute(g, l)
+    assert critical_vertices(g, l) == crit
+    assert is_minimal_obstruction(g, l) == (len(crit) == g.n)
+    assert not _peel(g, l) & sum(1 << v for v in crit)
+    rep = obstruction_report(g, l)
+    assert rep.non_critical == tuple(v for v in range(g.n) if v not in crit)
+    assert rep.minimal == (len(crit) == g.n)
+    assert rep.extracted[0] == extract_minimal_restart(g, l)
 
 
 def test_colorable_without_counts_only_live_empty_lists():
