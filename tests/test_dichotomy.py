@@ -135,6 +135,46 @@ def test_describe_is_a_sentence():
         assert "finitely" in text or "infinitely" in text
 
 
+_INFINITE_BOTH = (
+    "so infinitely many 4-vertex-critical graphs and infinitely many minimal "
+    "list obstructions avoid it."
+)
+_FINITE_BOTH = (
+    "only finitely many 4-vertex-critical graphs and finitely many minimal "
+    "list obstructions avoid it."
+)
+
+
+@pytest.mark.parametrize("name, case, flags, witness, k, sentence", [
+    ("P5", CASE_SUBGRAPH_OF_P6, (True, True), [0, 1, 2, 3, 4], None,
+     f"The pattern embeds in P6: {_FINITE_BOTH}"),
+    ("P4+3P1", CASE_SUBGRAPH_OF_P4_KP1, (True, True), [0, 1, 2, 3, 4, 5, 6], 3,
+     f"The pattern embeds in P4+3P1: {_FINITE_BOTH}"),
+    ("2P3", CASE_EQUALS_2P3, (True, False), [0, 1, 2, 3, 4, 5], None,
+     "The pattern is exactly 2P3: only finitely many 4-vertex-critical graphs "
+     "avoid it, but infinitely many minimal list obstructions do."),
+    ("C4", CASE_CONTAINS_CYCLE, (False, False), [1, 2, 3, 0], None,
+     f"The pattern contains a cycle, {_INFINITE_BOTH}"),
+    ("claw", CASE_CONTAINS_CLAW, (False, False), [0, 1, 2, 3], None,
+     f"The pattern contains an induced claw, {_INFINITE_BOTH}"),
+    ("2P2+P1", CASE_CONTAINS_2P2_P1, (False, False), [0, 1, 2, 3, 4], None,
+     f"The pattern contains an induced 2P2+P1, {_INFINITE_BOTH}"),
+])
+def test_verdict_output_is_pinned(name, case, flags, witness, k, sentence):
+    # One pattern per case: the exact JSON, key order included, and sentence.
+    v = classify(_pattern(name))
+    d = v.to_json_dict()
+    assert list(d) == ["case", "finite_vertex_critical", "finite_list_obstructions", "witness", "k"]
+    assert d == {
+        "case": case,
+        "finite_vertex_critical": flags[0],
+        "finite_list_obstructions": flags[1],
+        "witness": witness,
+        "k": k,
+    }
+    assert describe(v) == sentence
+
+
 def _direct_case_facts(h: Graph):
     girth = next((t for t in range(3, h.n + 1) if contains_induced(h, cycle_graph(t))), None)
     has_claw = contains_induced(h, pattern_graph("claw"))
