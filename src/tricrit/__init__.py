@@ -21,7 +21,6 @@ from .graphs import (
 )
 from .coloring import (
     ListSystem,
-    PartialColoring,
     l_colorable,
     lists_from_json,
     lists_to_json,

@@ -19,7 +19,7 @@ from .dichotomy import classify, describe
 from .families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from .graphs import Graph, Graph6Error, parse_graph6, parse_pattern, write_graph6
 from .obstructions import is_4_vertex_critical, obstruction_report
-from .propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
+from .propagation import P6_REFERENCE_COUNTS, check_enumeration_args, enumerate_propagation_paths
 
 
 class _UsageError(Exception):
@@ -74,10 +74,12 @@ def _print(args: argparse.Namespace, obj, lines) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     # Bad pattern names, --max-n outside 0..MAX_ENUM_LENGTH and --jobs below 1
-    # raise ValueError, which main reports as unusable input.
+    # raise ValueError, which main reports as unusable input.  They are
+    # checked before the emit file is opened, which truncates it, and the
+    # file is opened before the search, so a path that cannot be written
+    # fails before the search rather than after it.
     patterns = [parse_pattern(name) for name in args.forbidden]
-    # Open the emit file first, so a path that cannot be written fails
-    # before the search rather than after it.
+    check_enumeration_args(args.max_n, args.jobs)
     try:
         sink = open(args.emit, "w") if args.emit else nullcontext()
     except OSError as exc:
@@ -115,7 +117,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if report.extracted is not None:
         lines.append(f"extracted\t{','.join(map(str, report.extracted[0]))}")
     _print(args, report.to_json_dict(), lines)
-    return 0 if not report.colorable and report.minimal else 1
+    return 0 if report.minimal else 1
 
 
 def cmd_critical(args: argparse.Namespace) -> int:

@@ -20,18 +20,16 @@ from .graphs import Graph, bits
 PALETTE = (1, 2, 3)
 FULL_MASK = 0b111
 
-_COLOR_BIT = {1: 1, 2: 2, 3: 4}
-_BIT_COLOR = {1: 1, 2: 2, 4: 3}
-
 
 def color_bit(c: int) -> int:
-    if c not in _COLOR_BIT:
+    """The mask bit of color ``c``; a one-color mask's color is its bit_length()."""
+    if type(c) is not int or c not in PALETTE:
         raise ValueError(f"color must be 1, 2 or 3, got {c}")
-    return _COLOR_BIT[c]
+    return 1 << c - 1
 
 
 def mask_colors(mask: int) -> tuple[int, ...]:
-    return tuple(c for c in PALETTE if mask >> (c - 1) & 1)
+    return tuple(c for c in PALETTE if mask & color_bit(c))
 
 
 class ListSystem:
@@ -92,28 +90,13 @@ def lists_from_json(obj) -> ListSystem:
         raise ValueError('list-system JSON must be {"n": ..., "lists": [...]}')
     n = obj["n"]
     lists = obj["lists"]
-    if not isinstance(n, int) or not isinstance(lists, list) or len(lists) != n:
+    # type() rather than isinstance(): JSON true is a bool, which is an int.
+    if type(n) is not int or not isinstance(lists, list) or len(lists) != n:
         raise ValueError(f"list-system JSON needs exactly n={n} lists")
     for v, cs in enumerate(lists):
-        # type() rather than isinstance(): JSON true is a bool, which is an int.
         if not isinstance(cs, list) or any(type(c) is not int for c in cs):
             raise ValueError(f"the list of vertex {v} must be a list of integers, got {cs!r}")
     return ListSystem.from_sets(lists)
-
-
-@dataclass(frozen=True)
-class PartialColoring:
-    """A per-vertex optional color; None where no color is assigned."""
-
-    colors: tuple[int | None, ...]
-
-    def __post_init__(self):
-        for v, c in enumerate(self.colors):
-            if c is not None and c not in PALETTE:
-                raise ValueError(f"color {c} at vertex {v} outside the palette")
-
-    def __getitem__(self, v: int) -> int | None:
-        return self.colors[v]
 
 
 def _check_dims(g: Graph, l: ListSystem):
@@ -231,13 +214,13 @@ def update_from(g: Graph, l: ListSystem, w: int, v: int) -> ListSystem:
 
 def update_along_path(
     g: Graph, l: ListSystem, path: Sequence[int], alpha: int
-) -> tuple[PartialColoring, tuple[bool, ...]]:
+) -> tuple[int | None, ...]:
     """Color the first path vertex ``alpha`` and update along the path.
 
     Each later vertex is updated from its predecessor whenever the
-    predecessor's list is down to one color at that moment.  Returns the
-    partial coloring read off the final one-color lists of path vertices,
-    and a per-position flag saying whether that vertex ended up colored.
+    predecessor's list is down to one color at that moment.  Returns one
+    entry per vertex of ``g``: the color of a path vertex whose final list
+    holds one color, and None for every other vertex.
     """
     _check_dims(g, l)
     if not path:
@@ -256,14 +239,10 @@ def update_along_path(
         if masks[prev].bit_count() == 1:
             masks[cur] &= ~masks[prev]
     colors: list[int | None] = [None] * g.n
-    flags = []
     for v in path:
         if masks[v].bit_count() == 1:
-            colors[v] = _BIT_COLOR[masks[v]]
-            flags.append(True)
-        else:
-            flags.append(False)
-    return PartialColoring(tuple(colors)), tuple(flags)
+            colors[v] = masks[v].bit_length()
+    return tuple(colors)
 
 
 @dataclass(frozen=True)
@@ -299,7 +278,7 @@ def update_wrt_set_detailed(
             raise ValueError(f"vertex {v} in the forced set has {l.size(v)} colors listed")
     if rounds == "exhaustive":
         bound = None
-    elif isinstance(rounds, int) and rounds >= 0:
+    elif type(rounds) is int and rounds >= 0:
         bound = rounds
     else:
         raise ValueError(f'rounds must be a non-negative integer or "exhaustive", got {rounds!r}')

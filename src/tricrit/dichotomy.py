@@ -21,14 +21,26 @@ CASE_EQUALS_2P3 = "equals-2P3"
 CASE_SUBGRAPH_OF_P6 = "induced-subgraph-of-P6"
 CASE_SUBGRAPH_OF_P4_KP1 = "induced-subgraph-of-P4+kP1"
 
-ALL_CASES = (
-    CASE_CONTAINS_CYCLE,
-    CASE_CONTAINS_CLAW,
-    CASE_CONTAINS_2P2_P1,
-    CASE_EQUALS_2P3,
-    CASE_SUBGRAPH_OF_P6,
-    CASE_SUBGRAPH_OF_P4_KP1,
-)
+# case -> (finite 4-vertex-critical, finite list obstructions, what the
+# sentence of :func:`describe` names); ``{k}`` stands for the verdict's k.
+_CASES = {
+    CASE_CONTAINS_CYCLE: (False, False, "a cycle"),
+    CASE_CONTAINS_CLAW: (False, False, "an induced claw"),
+    CASE_CONTAINS_2P2_P1: (False, False, "an induced 2P2+P1"),
+    CASE_EQUALS_2P3: (True, False, "2P3"),
+    CASE_SUBGRAPH_OF_P6: (True, True, "P6"),
+    CASE_SUBGRAPH_OF_P4_KP1: (True, True, "P4+{k}P1"),
+}
+ALL_CASES = tuple(_CASES)
+
+_SENTENCES = {
+    (False, False): "The pattern contains {}, so infinitely many 4-vertex-critical "
+                    "graphs and infinitely many minimal list obstructions avoid it.",
+    (True, False): "The pattern is exactly {}: only finitely many 4-vertex-critical "
+                   "graphs avoid it, but infinitely many minimal list obstructions do.",
+    (True, True): "The pattern embeds in {}: only finitely many 4-vertex-critical "
+                  "graphs and finitely many minimal list obstructions avoid it.",
+}
 
 
 @dataclass(frozen=True)
@@ -37,23 +49,30 @@ class DichotomyVerdict:
 
     ``finite_vertex_critical`` says whether only finitely many
     4-vertex-critical graphs avoid the pattern; ``finite_list_obstructions``
-    says the same about minimal list obstructions.  ``witness`` is the
-    embedded forbidden structure for the infinite cases, or the embedding
-    into the host path(s) for the finite cases.  ``k`` is the minimal k
-    for the P4+kP1 case.  That host has 4 + k vertices, which can exceed
-    ``MAX_VERTICES``: ``classify(Graph(128))`` gives k = 126, so the host
-    cannot always be built as a :class:`Graph` or parsed as a pattern.
+    says the same about minimal list obstructions.  Both are read off the
+    case.  ``witness`` is the embedded forbidden structure for the infinite
+    cases, or the embedding into the host path(s) for the finite cases.
+    ``k`` is the minimal k for the P4+kP1 case.  That host has 4 + k
+    vertices, which can exceed ``MAX_VERTICES``: ``classify(Graph(128))``
+    gives k = 126, so the host cannot always be built as a :class:`Graph`
+    or parsed as a pattern.
     """
 
     case: str
-    finite_vertex_critical: bool
-    finite_list_obstructions: bool
     witness: tuple[int, ...] | None = None
     k: int | None = None
 
     def __post_init__(self):
-        if self.case not in ALL_CASES:
+        if self.case not in _CASES:
             raise ValueError(f"unknown case {self.case!r}")
+
+    @property
+    def finite_vertex_critical(self) -> bool:
+        return _CASES[self.case][0]
+
+    @property
+    def finite_list_obstructions(self) -> bool:
+        return _CASES[self.case][1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,45 +150,27 @@ def classify(h) -> DichotomyVerdict:
     g = pattern_graph(h)
     emb = find_induced_embedding(g, "2P3") if g.n == 6 else None
     if emb is not None:
-        return DichotomyVerdict(CASE_EQUALS_2P3, True, False, witness=emb)
+        return DichotomyVerdict(CASE_EQUALS_2P3, emb)
     res = is_induced_subgraph_of_P4kP1(g)
     if res is not None:
         k, emb = res
-        return DichotomyVerdict(CASE_SUBGRAPH_OF_P4_KP1, True, True, witness=emb, k=k)
+        return DichotomyVerdict(CASE_SUBGRAPH_OF_P4_KP1, emb, k)
     emb = is_induced_subgraph_of_P6(g)
     if emb is not None:
-        return DichotomyVerdict(CASE_SUBGRAPH_OF_P6, True, True, witness=emb)
+        return DichotomyVerdict(CASE_SUBGRAPH_OF_P6, emb)
     cyc = _find_short_cycle(g)
     if cyc is not None:
-        return DichotomyVerdict(CASE_CONTAINS_CYCLE, False, False, witness=cyc)
+        return DichotomyVerdict(CASE_CONTAINS_CYCLE, cyc)
     emb = find_induced_embedding(g, "claw")
     if emb is not None:
-        return DichotomyVerdict(CASE_CONTAINS_CLAW, False, False, witness=emb)
+        return DichotomyVerdict(CASE_CONTAINS_CLAW, emb)
     emb = find_induced_embedding(g, "2P2+P1")
     if emb is not None:
-        return DichotomyVerdict(CASE_CONTAINS_2P2_P1, False, False, witness=emb)
+        return DichotomyVerdict(CASE_CONTAINS_2P2_P1, emb)
     raise AssertionError("a pattern outside every finite host has an infinite witness")
 
 
 def describe(verdict: DichotomyVerdict) -> str:
     """One readable sentence stating what the verdict means."""
-    if verdict.case in (CASE_CONTAINS_CYCLE, CASE_CONTAINS_CLAW, CASE_CONTAINS_2P2_P1):
-        inner = {
-            CASE_CONTAINS_CYCLE: "a cycle",
-            CASE_CONTAINS_CLAW: "an induced claw",
-            CASE_CONTAINS_2P2_P1: "an induced 2P2+P1",
-        }[verdict.case]
-        return (
-            f"The pattern contains {inner}, so infinitely many 4-vertex-critical "
-            "graphs and infinitely many minimal list obstructions avoid it."
-        )
-    if verdict.case == CASE_EQUALS_2P3:
-        return (
-            "The pattern is exactly 2P3: only finitely many 4-vertex-critical "
-            "graphs avoid it, but infinitely many minimal list obstructions do."
-        )
-    where = "P6" if verdict.case == CASE_SUBGRAPH_OF_P6 else f"P4+{verdict.k}P1"
-    return (
-        f"The pattern embeds in {where}: only finitely many 4-vertex-critical "
-        "graphs and finitely many minimal list obstructions avoid it."
-    )
+    finite_vc, finite_lo, phrase = _CASES[verdict.case]
+    return _SENTENCES[finite_vc, finite_lo].format(phrase.format(k=verdict.k))

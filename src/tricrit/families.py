@@ -63,8 +63,8 @@ def gen_Gr(r: int) -> Graph:
     i < j the edge rule reads off j - i alone.  The degree r + 2 is
     asserted as a self-check.
     """
-    if r < 1:
-        raise ValueError(f"family parameter must be at least 1, got {r}")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"family parameter must be an integer of at least 1, got {r!r}")
     n = 3 * r + 1
     if n > MAX_VERTICES:
         raise ValueError(f"3r+1 = {n} exceeds the supported maximum of {MAX_VERTICES} vertices")
@@ -124,8 +124,8 @@ def gen_Hr(r: int) -> tuple[Graph, ListSystem]:
     j = 1 mod 3.  Both endpoints get list {1}; an interior position p gets
     {2,3}, {1,3} or {1,2} according to p mod 3 being 0, 1 or 2.
     """
-    if r < 1:
-        raise ValueError(f"family parameter must be at least 1, got {r}")
+    if type(r) is not int or r < 1:
+        raise ValueError(f"family parameter must be an integer of at least 1, got {r!r}")
     n = 3 * r - 1
     if n > MAX_VERTICES:
         raise ValueError(f"3r-1 = {n} exceeds the supported maximum of {MAX_VERTICES} vertices")
@@ -162,13 +162,13 @@ def verify_Hr(r: int) -> FamilyReport:
     # along a path reads only the vertices already passed, so each arm is a
     # prefix of one pass from its end.  Both arms must be forced and proper
     # together, chords across the split included.
-    fwd, fwd_ok = update_along_path(g, lists, range(n - 1), 1)
-    bwd, bwd_ok = update_along_path(g, lists, range(n - 1, 0, -1), 1)
+    fwd = update_along_path(g, lists, range(n - 1), 1)
+    bwd = update_along_path(g, lists, range(n - 1, 0, -1), 1)
     edges = g.edges()
     detail = ""
     for mid in range(1, n - 1):
-        colors = [fwd[v] if v < mid else bwd[v] for v in range(n)]
-        if not all(fwd_ok[:mid]) or not all(bwd_ok[:n - 1 - mid]):
+        colors = fwd[:mid] + bwd[mid:]
+        if None in colors[:mid] + colors[mid + 1:]:
             detail = f"an arm stalls after deleting vertex {mid}"
         elif any(colors[a] == colors[b] for a, b in edges if mid not in (a, b)):
             detail = f"forced halves clash after deleting vertex {mid}"

@@ -14,11 +14,6 @@ from .coloring import ListSystem, _l_colorable, l_colorable, lists_to_json
 from .graphs import Graph, bits, induced_subgraph
 
 
-def _colorable_without(g: Graph, l: ListSystem, dead: int) -> bool:
-    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?"""
-    return _l_colorable(g.rows, l.masks, (1 << g.n) - 1 & ~dead) is not None
-
-
 def is_obstruction(g: Graph, l: ListSystem) -> bool:
     """True when (g, l) admits no proper coloring from the lists."""
     return l_colorable(g, l) is None
@@ -118,11 +113,12 @@ def _extract(g: Graph, l: ListSystem, candidates: Iterable[int], peeled: int):
     """The pass of :func:`extract_minimal` over ``candidates`` only, in
     increasing order; every other vertex must be critical in (g, l), and
     ``peeled`` is its :func:`_peel` mask."""
-    dead = 0
+    alive = (1 << g.n) - 1 & ~peeled
     for v in candidates:
-        if peeled >> v & 1 or not _colorable_without(g, l, peeled | dead | 1 << v):
-            dead |= 1 << v
-    keep = tuple(v for v in range(g.n) if not dead >> v & 1)
+        b = 1 << v
+        if alive & b and _l_colorable(g.rows, l.masks, alive & ~b) is None:
+            alive ^= b
+    keep = tuple(bits(alive))
     return keep, induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep)
 
 
@@ -148,13 +144,23 @@ def is_4_vertex_critical(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Everything the ``check`` command reports about one instance."""
+    """Everything the ``check`` command reports about one instance.
 
-    colorable: bool
+    ``witness`` is a coloring, or None for an obstruction; ``non_critical``
+    and ``extracted`` are empty and None for a colorable instance.
+    """
+
     witness: tuple[int, ...] | None
-    minimal: bool
     non_critical: tuple[int, ...]
     extracted: tuple[tuple[int, ...], Graph, ListSystem] | None
+
+    @property
+    def colorable(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def minimal(self) -> bool:
+        return not self.colorable and not self.non_critical
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -181,8 +187,8 @@ def obstruction_report(g: Graph, l: ListSystem) -> ObstructionReport:
     """
     witness = l_colorable(g, l)
     if witness is not None:
-        return ObstructionReport(True, witness, False, (), None)
+        return ObstructionReport(witness, (), None)
     peeled = _peel(g, l)
     critical = _critical(g, l, peeled)
     non_crit = tuple(v for v in range(g.n) if not critical >> v & 1)
-    return ObstructionReport(False, None, not non_crit, non_crit, _extract(g, l, non_crit, peeled))
+    return ObstructionReport(None, non_crit, _extract(g, l, non_crit, peeled))

@@ -286,13 +286,20 @@ def enumerate_propagation_paths(
     on it.  The pool never exceeds the machine's core count — the work is
     CPU-bound, so extra processes beyond that only add scheduling overhead.
     """
-    if not isinstance(max_n, int) or max_n < 0:
+    check_enumeration_args(max_n, jobs)
+    return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
+
+
+def check_enumeration_args(max_n: int, jobs: int) -> None:
+    """Raise ValueError unless ``max_n`` is an integer in 0..MAX_ENUM_LENGTH
+    and ``jobs`` an integer of at least 1."""
+    # type() rather than isinstance(): a bool is an int.
+    if type(max_n) is not int or max_n < 0:
         raise ValueError(f"max_n must be a non-negative integer, got {max_n!r}")
     if max_n > MAX_ENUM_LENGTH:
         raise ValueError(f"max_n is capped at {MAX_ENUM_LENGTH}, got {max_n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
 
 
 def max_propagation_length(forbidden: Iterable) -> int:

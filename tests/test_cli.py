@@ -75,6 +75,18 @@ def test_enumerate_unwritable_emit_fails_before_search(capsys, monkeypatch, tmp_
     assert err.startswith("error: cannot write emit file") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bad", [["--max-n", "99"], ["--max-n", "5", "--jobs", "0"], ["--forbidden", "Bogus"]],
+    ids=["max-n", "jobs", "pattern"],
+)
+def test_enumerate_bad_arguments_keep_emit_file(capsys, tmp_path, bad):
+    out_file = tmp_path / "out.txt"
+    out_file.write_text("keep\n")
+    rc, out, err = run(capsys, "enumerate", "--forbidden", "P6", *bad, "--emit", str(out_file))
+    assert rc == 2 and out == "" and err.startswith("error:")
+    assert out_file.read_text() == "keep\n"
+
+
 def test_enumerate_bad_pattern(capsys):
     rc, _, err = run(capsys, "enumerate", "--forbidden", "Bogus")
     assert rc == 2
@@ -135,6 +147,17 @@ def test_malformed_list_entry_exits_2(capsys, tmp_path, command, lists):
     gpath, _ = write_instance(tmp_path, Graph(2, [(0, 1)]))
     lpath = tmp_path / "bad.json"
     lpath.write_text(json.dumps({"n": 2, "lists": lists}))
+    rc, _, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
+    assert rc == 2
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_boolean_list_count_exits_2(capsys, tmp_path, command):
+    # JSON true is an int to isinstance(), and True == 1 == len(lists).
+    gpath, _ = write_instance(tmp_path, Graph(1))
+    lpath = tmp_path / "bool.json"
+    lpath.write_text(json.dumps({"n": True, "lists": [[1]]}))
     rc, _, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
     assert rc == 2
     assert "error" in err and "Traceback" not in err

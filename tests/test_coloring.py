@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from tricrit.coloring import (
     ListSystem,
-    PartialColoring,
     _propagate,
     l_colorable,
     lists_from_json,
@@ -42,6 +41,10 @@ def test_list_system_basics():
         ListSystem([8])
     with pytest.raises(ValueError):
         ListSystem.from_sets([(4,)])
+    # True == 1.0 == 1, so only a type check keeps them out.
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError):
+            ListSystem.from_sets([(bad,)])
 
 
 def test_lists_json_round_trip():
@@ -53,13 +56,8 @@ def test_lists_json_round_trip():
         lists_from_json({"n": 2, "lists": [[1]]})
     with pytest.raises(ValueError):
         lists_from_json([1, 2])
-
-
-def test_partial_coloring_validates():
-    pc = PartialColoring((1, None, 3))
-    assert pc[0] == 1 and pc[1] is None
     with pytest.raises(ValueError):
-        PartialColoring((5,))
+        lists_from_json({"n": True, "lists": [[1]]})
 
 
 def test_l_colorable_examples():
@@ -158,18 +156,15 @@ def test_update_from_contract():
 def test_update_along_path_simple():
     g = path_graph(3)
     l = ListSystem.from_sets([(1, 2), (1, 2), (1, 2)])
-    pc, flags = update_along_path(g, l, [0, 1, 2], 1)
-    assert flags == (True, True, True)
-    assert (pc[0], pc[1], pc[2]) == (1, 2, 1)
+    assert update_along_path(g, l, [0, 1, 2], 1) == (1, 2, 1)
 
 
 def test_update_along_path_stalls_on_wide_list():
     g = path_graph(3)
     l = ListSystem.from_sets([(1,), (1, 2, 3), (1, 2)])
-    pc, flags = update_along_path(g, l, [0, 1, 2], 1)
+    pc = update_along_path(g, l, [0, 1, 2], 1)
     # the middle list drops to {2,3}: not a singleton, so nothing propagates on
-    assert flags == (True, False, False)
-    assert pc[1] is None and pc[2] is None
+    assert pc == (1, None, None)
 
 
 def test_update_along_path_contract():
@@ -191,11 +186,11 @@ def test_update_along_obstruction_backbone():
     # on color 1, clashing with the far endpoint's one-color list.
     g, l = gen_Hr(5)
     path = list(range(g.n))
-    pc, flags = update_along_path(g, l, path, 1)
-    assert flags[:13] == (True,) * 13
+    pc = update_along_path(g, l, path, 1)
+    assert None not in pc[:13]
     assert [pc[v] for v in range(12)] == [1, 2, 3] * 4
     assert pc[12] == 1
-    assert not all(flags)
+    assert None in pc
 
 
 def test_update_wrt_set_zero_rounds_is_identity():
@@ -237,6 +232,8 @@ def test_update_wrt_set_contract():
         update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [0], -1)
     with pytest.raises(ValueError):
         update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [0], "forever")
+    with pytest.raises(ValueError):
+        update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [0], True)
 
 
 @given(st.integers(0, 2**28), st.integers(1, 7), st.integers(0, 4))

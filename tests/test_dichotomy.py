@@ -246,4 +246,4 @@ def test_classify_agrees_with_host_containment_exhaustively():
 
 def test_verdict_validation():
     with pytest.raises(ValueError):
-        DichotomyVerdict("no-such-case", True, True)
+        DichotomyVerdict("no-such-case")

@@ -63,8 +63,9 @@ def test_gen_Gr_vertex_zero_decides_containment():
 
 
 def test_gen_Gr_bounds():
-    with pytest.raises(ValueError):
-        gen_Gr(0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            gen_Gr(bad)
     with pytest.raises(ValueError):
         gen_Gr(43)
     assert gen_Gr(42).n == 127
@@ -141,8 +142,9 @@ def test_gen_Hr_recursion():
 
 
 def test_gen_Hr_bounds():
-    with pytest.raises(ValueError):
-        gen_Hr(0)
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            gen_Hr(bad)
     with pytest.raises(ValueError):
         gen_Hr(44)
     assert gen_Hr(43)[0].n == 128
@@ -191,6 +193,12 @@ def test_verifiers_report_broken_members(monkeypatch):
     failed = failures(verify_Hr(4))
     assert set(failed) == {"two-sided-deletion-colorings"}
     assert failed["two-sided-deletion-colorings"].endswith("deleting vertex 2")
+    # the same at vertex 9 stalls the arm from vertex 10 for every deletion
+    widened = ListSystem(l.masks[:9] + (0b111,) + l.masks[10:])
+    monkeypatch.setattr(families, "gen_Hr", lambda r: (g, widened))
+    assert failures(verify_Hr(4)) == {
+        "two-sided-deletion-colorings": "an arm stalls after deleting vertex 1"
+    }
 
     gg = gen_Gr(3)
     monkeypatch.setattr(families, "gen_Gr", lambda r: without(gg, (0, 1)))

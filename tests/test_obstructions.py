@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricrit.coloring import FULL_MASK, ListSystem, l_colorable
+from tricrit.coloring import FULL_MASK, ListSystem, _l_colorable, l_colorable
 from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import (
     Graph,
@@ -17,7 +17,6 @@ from tricrit.graphs import (
 )
 from tricrit.obstructions import (
     ObstructionReport,
-    _colorable_without,
     _peel,
     critical_vertices,
     dominates,
@@ -252,6 +251,12 @@ def test_analysis_agrees_with_brute(seed, n):
     assert rep.extracted[0] == extract_minimal_restart(g, l)
 
 
+def _colorable_without(g, l, dead):
+    """Is (g, l) colorable once the vertices in the bitmask ``dead`` are deleted?
+    The solver's live mask is how every deletion solve deletes vertices."""
+    return _l_colorable(g.rows, l.masks, (1 << g.n) - 1 & ~dead) is not None
+
+
 def test_colorable_without_counts_only_live_empty_lists():
     # No list has one color, so no propagation runs before the first branch;
     # the empty list decides the answer only while its vertex is live.
@@ -338,7 +343,8 @@ def test_obstruction_report_colorable():
 def test_obstruction_report_minimal():
     g, l = gen_Hr(2)
     rep = obstruction_report(g, l)
-    assert rep == ObstructionReport(False, None, True, (), ((0, 1, 2, 3, 4), g, l))
+    assert rep == ObstructionReport(None, (), ((0, 1, 2, 3, 4), g, l))
+    assert not rep.colorable and rep.minimal
     d = rep.to_json_dict()
     assert d["minimal"] is True and d["extracted"]["vertices"] == [0, 1, 2, 3, 4]
 

@@ -130,8 +130,9 @@ def test_enumerate_edge_cases():
         enumerate_propagation_paths(["P6"], 65)
     with pytest.raises(ValueError):
         enumerate_propagation_paths(["P6"], -1)
-    with pytest.raises(ValueError):
-        enumerate_propagation_paths(["P6"], 10, jobs=0)
+    for max_n, jobs in [(10, 0), (True, 1), (2.0, 1), (5, True), (5, 2.5)]:
+        with pytest.raises(ValueError):
+            enumerate_propagation_paths(["P6"], max_n, jobs=jobs)
 
 
 def test_enumerate_agrees_with_brute_force():
