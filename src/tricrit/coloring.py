@@ -99,9 +99,12 @@ def lists_from_json(obj) -> ListSystem:
     return ListSystem.from_sets(lists)
 
 
-def _check_dims(g: Graph, l: ListSystem):
+def _check_dims(g: Graph, l: ListSystem, *vertices: int):
     if l.n != g.n:
         raise ValueError(f"list system has {l.n} entries for a {g.n}-vertex graph")
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def _solve(rows, p1, p2, p3, done):
 
 def update_from(g: Graph, l: ListSystem, w: int, v: int) -> ListSystem:
     """Delete the single color of ``w`` from the list of its neighbor ``v``."""
-    _check_dims(g, l)
+    _check_dims(g, l, w, v)
     if l.size(w) != 1:
         raise ValueError(f"vertex {w} must have a one-color list, has {l.colors(w)}")
     if not g.has_edge(w, v):
@@ -222,7 +225,7 @@ def update_along_path(
     entry per vertex of ``g``: the color of a path vertex whose final list
     holds one color, and None for every other vertex.
     """
-    _check_dims(g, l)
+    _check_dims(g, l, *path)
     if not path:
         raise ValueError("path must be non-empty")
     if len(set(path)) != len(path):
@@ -269,11 +272,9 @@ def update_wrt_set_detailed(
     and the conflict flag is set.  ``rounds`` is a round count or
     "exhaustive" to run to the fixpoint.
     """
-    _check_dims(g, l)
     xs = frozenset(x)
+    _check_dims(g, l, *xs)
     for v in xs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
         if l.size(v) > 1:
             raise ValueError(f"vertex {v} in the forced set has {l.size(v)} colors listed")
     if rounds == "exhaustive":
@@ -321,11 +322,9 @@ def precolor_and_update(
     The assigned color must lie in the vertex's current list.  By default
     three rounds are run; pass "exhaustive" to reach the fixpoint.
     """
-    _check_dims(g, l)
+    _check_dims(g, l, *assignment)
     masks = list(l.masks)
     for v, c in assignment.items():
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
         cb = color_bit(c)
         if not masks[v] & cb:
             raise ValueError(f"color {c} is not in the list of vertex {v}")

@@ -225,9 +225,10 @@ def components(g: Graph) -> list[list[int]]:
 #
 # Every check asks for an induced copy of a pattern that uses one anchor
 # vertex, among the live vertices ``alive`` of a graph given by its raw
-# adjacency rows.  The rows of live vertices must hold only live vertices;
-# the rows are trusted otherwise, so enumeration loops can check without
-# building Graph objects.
+# adjacency rows.  The rows are read, never edited, and may name dead
+# vertices: only ``alive`` decides which vertices exist.  The rows are
+# trusted otherwise, so enumeration loops can check without building
+# Graph objects.
 
 def _match_order(h: Graph, start: int) -> tuple[int, ...]:
     # Start from ``start``, then prefer vertices with many already placed
@@ -280,7 +281,7 @@ class PatternSearch:
         mask's vertices contains the same copy.
         """
         if self.path is not None:
-            return has_induced_path_through(rows, anchor, self.path)
+            return has_induced_path_through(rows, alive, anchor, self.path)
         image = self.embedding(rows, alive, anchor)
         if image is None:
             return 0
@@ -309,22 +310,6 @@ class PatternSearch:
 
 # Repeated whole-graph queries share one search per pattern graph.
 _search = lru_cache(PatternSearch)
-
-
-def _anchors(g: Graph):
-    """The whole-graph anchor loop: yields (rows, alive, v) for each v.
-
-    A caller that asks for the next anchor found no copy through v, so v
-    lies on no copy at all: it leaves ``alive`` and the rows (updated in
-    place) before the next search, which never revisits a copy through v.
-    """
-    rows = list(g.rows)
-    alive = (1 << g.n) - 1
-    for v in range(g.n):
-        yield rows, alive, v
-        alive ^= 1 << v
-        for u in bits(rows[v]):
-            rows[u] ^= 1 << v
 
 
 def _embed(
@@ -375,14 +360,20 @@ def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:
     search = _search(pattern_graph(h))
     if not search.h.n:
         return ()
-    images = (search.embedding(*a) for a in _anchors(g))
+    full = (1 << g.n) - 1
+    images = (search.embedding(g.rows, full >> v << v, v) for v in range(g.n))
     return next((tuple(image) for image in images if image is not None), None)
 
 
 def contains_induced(g: Graph, h) -> bool:
-    """Does ``g`` contain the pattern ``h`` as an induced subgraph?"""
+    """Does ``g`` contain the pattern ``h`` as an induced subgraph?
+
+    The whole-graph anchor loop: anchor v searches the vertices v..n-1, as
+    every copy is found at its lowest vertex.
+    """
     search = _search(pattern_graph(h))
-    return not search.h.n or any(search.through(*a) for a in _anchors(g))
+    full = (1 << g.n) - 1
+    return not search.h.n or any(search.through(g.rows, full >> v << v, v) for v in range(g.n))
 
 
 def _as_path_length(h: Graph) -> int | None:
@@ -398,12 +389,11 @@ def has_induced_path(g: Graph, t: int) -> bool:
     return t <= g.n and contains_induced(g, path_graph(t))
 
 
-def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> int:
-    """The vertex mask of an induced path on ``t`` vertices that uses
-    vertex ``anchor``, or 0 if there is none.
+def has_induced_path_through(rows: Sequence[int], alive: int, anchor: int, t: int) -> int:
+    """The vertex mask of an induced path on ``t`` vertices among ``alive``
+    that uses vertex ``anchor``, or 0 if there is none.
 
-    The path arm of :class:`PatternSearch`: it reaches vertices only
-    through ``rows``, so it needs no live mask.  The path is grown as two
+    The path arm of :class:`PatternSearch`.  The path is grown as two
     arms out of the anchor by one recursive ``arm``, first arm first; the
     second arm is opened only once the first holds a strict majority of
     the remaining vertices, so each arm pair is tried in one orientation
@@ -412,7 +402,8 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> int:
     switch closed.  ``arm`` carries ``acc``, the union of the rows of the
     placed vertices other than the tip and the anchor, so the next vertex's
     candidates are one mask: the tip's unused neighbours outside ``acc``
-    and, unless the tip is the anchor, outside the anchor's row.  The
+    and, unless the tip is the anchor, outside the anchor's row.  ``acc``
+    starts as the dead vertices, so no candidate is ever dead.  The
     candidates are tried from the highest vertex down, and the last vertex
     of a path is the highest candidate, taken without a loop: the
     enumeration anchors at the newest (highest) vertex, whose neighborhood
@@ -447,7 +438,7 @@ def has_induced_path_through(rows: Sequence[int], anchor: int, t: int) -> int:
                 return hit
         return arm(anchor, used, m, t, acc) if m >= switch else 0
 
-    return arm(anchor, 1 << anchor, 1, (t + 2) // 2, 0)
+    return arm(anchor, 1 << anchor, 1, (t + 2) // 2, (1 << len(rows)) - 1 ^ alive)
 
 
 # ---------------------------------------------------------------------------

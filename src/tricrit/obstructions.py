@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import ListSystem, _l_colorable, l_colorable, lists_to_json
+from .coloring import ListSystem, _check_dims, _l_colorable, l_colorable, lists_to_json
 from .graphs import Graph, bits, induced_subgraph
 
 
@@ -128,10 +128,9 @@ def dominates(g: Graph, l: ListSystem, u: int, v: int) -> bool:
     Neighborhoods are open, so adjacent vertices never dominate each other.
     A minimal obstruction can never contain a dominating pair.
     """
+    _check_dims(g, l, u, v)
     if u == v:
         raise ValueError("domination needs two distinct vertices")
-    if l.n != g.n:
-        raise ValueError(f"list system has {l.n} entries for a {g.n}-vertex graph")
     if l.masks[u] & ~l.masks[v]:
         return False
     return g.rows[v] & ~g.rows[u] == 0

@@ -27,6 +27,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
+from .coloring import color_bit
 from .graphs import Graph, PatternSearch, bits
 
 # Reference counts for the enumeration with P6 forbidden, lengths 1..25.
@@ -63,8 +64,7 @@ class PropConfig:
         if self.colors[0] != 1:
             raise ValueError("the first vertex is always colored 1")
         for c in self.colors:
-            if c not in (1, 2, 3):
-                raise ValueError(f"color {c} outside the palette")
+            color_bit(c)
         for a, b in zip(self.colors, self.colors[1:]):
             if a == b:
                 raise ValueError("consecutive path vertices share a color")

@@ -261,24 +261,26 @@ def test_criterion_5d_containment_vs_brute(capsys):
 
 
 def test_anchored_search_respects_alive_mask():
-    # The state of the whole-graph anchor loop at anchor v: the vertices
-    # below v are dropped from ``alive`` and cleared from the rows, but
-    # their own rows stay.  Both arms must then answer for the subgraph
-    # induced on v..n-1 alone; clearing the rows without the mask once let
-    # the matcher report 2P3 copies in Hr that are not there.
+    # The whole-graph anchor loop at anchor v: ``alive`` holds v..n-1 and
+    # the rows stay whole.  Both arms must answer for the subgraph induced
+    # on v..n-1 alone, with the rows whole and with the dead vertices
+    # cleared from them too; the path walker once read only the rows, and
+    # clearing the rows without the mask once let the matcher report 2P3
+    # copies in Hr that are not there.
     searches = [(name, pattern_graph(name), PatternSearch(name)) for name in NAMED_PATTERNS]
     for g in _containment_hosts():
         n = g.n
         for v in range(n):
             alive = (1 << n) - (1 << v)
-            rows = [row & alive for row in g.rows]
             rest = induced_subgraph(g, range(v, n))
+            cleared = [row & alive for row in g.rows]
             for name, h, search in searches:
                 want = contains_induced_through_brute(rest, h, 0)
-                mask = search.through(rows, alive, v)
-                assert bool(mask) == want, (g, name, v)
-                assert not mask or is_witness_brute(g, h, alive, v, mask), (g, name, v, mask)
-                assert (search.embedding(rows, alive, v) is not None) == want, (g, name, v)
+                for rows in (g.rows, cleared):
+                    mask = search.through(rows, alive, v)
+                    assert bool(mask) == want, (g, name, v)
+                    assert not mask or is_witness_brute(g, h, alive, v, mask), (g, name, v, mask)
+                    assert (search.embedding(rows, alive, v) is not None) == want, (g, name, v)
 
 
 def test_criterion_6_minimality_sanity(capsys):

@@ -151,6 +151,10 @@ def test_update_from_contract():
         update_from(g, l, 0, 1)  # w not a singleton
     with pytest.raises(ValueError):
         update_from(g, l, 2, 0)  # not adjacent
+    one = ListSystem.from_sets([(1,), (1, 2), (1, 2, 3)])
+    for w, v in [(-3, 1), (0, -2), (0, 3)]:  # a negative index must not wrap around
+        with pytest.raises(ValueError, match="out of range"):
+            update_from(g, one, w, v)
 
 
 def test_update_along_path_simple():
@@ -178,6 +182,9 @@ def test_update_along_path_contract():
         update_along_path(g, l, [0, 1, 0], 1)
     with pytest.raises(ValueError):
         update_along_path(g, ListSystem.from_sets([(2,), (1,), (1,)]), [0, 1, 2], 1)
+    for path in ([-1], [5], [0, 1, -1]):  # a negative index must not wrap around
+        with pytest.raises(ValueError, match="out of range"):
+            update_along_path(g, l, path, 1)
 
 
 def test_update_along_obstruction_backbone():

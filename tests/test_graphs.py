@@ -12,6 +12,7 @@ from tricrit.graphs import (
     Graph6Error,
     PatternSearch,
     _search,
+    bits,
     claw_graph,
     components,
     contains_induced,
@@ -165,16 +166,22 @@ def test_path_detector_agrees_with_generic_matcher(seed, t):
 @given(st.integers(0, 2**28), st.integers(0, 9))
 @settings(max_examples=100, deadline=None)
 def test_path_walker_agrees_with_brute_at_every_anchor(seed, n):
-    # The walker's answer is the vertex mask of the path it found, or 0.
+    # The walker's answer is the vertex mask of the path it found among
+    # ``alive``, or 0.  The rows stay whole, so only ``alive`` hides the
+    # dead vertices: the answer must be that of the live induced subgraph.
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.choice([0.2, 0.3, 0.45, 0.6]))
     full = (1 << n) - 1
-    for t in range(1, 8):
-        p = path_graph(t)
-        for a in range(n):
-            mask = has_induced_path_through(g.rows, a, t)
-            assert bool(mask) == contains_induced_through_brute(g, p, a), (g, t, a)
-            assert not mask or is_witness_brute(g, p, full, a, mask), (g, t, a, mask)
+    for a in range(n):
+        for alive in (full, rng.getrandbits(n) | 1 << a):
+            live = bits(alive)
+            sub = induced_subgraph(g, live)
+            for t in range(1, 8):
+                p = path_graph(t)
+                mask = has_induced_path_through(g.rows, alive, a, t)
+                want = contains_induced_through_brute(sub, p, live.index(a))
+                assert bool(mask) == want, (g, t, a, alive)
+                assert not mask or is_witness_brute(g, p, alive, a, mask), (g, t, a, alive, mask)
 
 
 # A smallest graph with no automorphism but the identity.

@@ -287,6 +287,11 @@ def test_dominates():
     assert not dominates(g, l, 0, 1)  # adjacent, open neighborhoods differ
     with pytest.raises(ValueError):
         dominates(g, l, 1, 1)
+    for u, v in [(-1, 0), (0, 5), (2, -3)]:  # a negative index must not wrap around
+        with pytest.raises(ValueError, match="out of range"):
+            dominates(g, ListSystem.full(3), u, v)
+    with pytest.raises(ValueError):
+        dominates(g, ListSystem.full(2), 0, 2)
 
 
 def test_dominates_needs_neighborhood_containment():

@@ -41,6 +41,9 @@ def test_prop_config_validation():
         PropConfig((1, 1))
     with pytest.raises(ValueError):
         PropConfig((1, 4))
+    for colors in [(True, 2), (1, 2.0), (1.0, 2)]:  # colors are ints, not bools or floats
+        with pytest.raises(ValueError):
+            PropConfig(colors)
     with pytest.raises(ValueError):
         PropConfig((1, 2, 1), frozenset({(1, 2)}))  # consecutive pair
     with pytest.raises(ValueError):
