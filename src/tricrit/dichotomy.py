@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, find_induced_embedding, induced_subgraph, path_graph, pattern_graph
+from .graphs import Graph, bits, find_induced_embedding, induced_subgraph, path_graph, pattern_graph
 
 CASE_CONTAINS_CYCLE = "contains-cycle"
 CASE_CONTAINS_CLAW = "contains-claw"
@@ -115,28 +115,39 @@ def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:
 
 
 def _find_short_cycle(g: Graph) -> tuple[int, ...] | None:
-    """A shortest cycle, which is always chordless, or None in a forest."""
+    """A shortest cycle, which is always chordless, or None in a forest.
+
+    For each edge (u, v), a BFS from u that avoids the edge finds a
+    shortest u-v path, so a shortest cycle through the edge.  The BFS stops
+    at v, and before a layer that could only tie the best cycle so far; the
+    first triangle ends the search.
+    """
+    rows = g.rows
     best: list[int] | None = None
     for u, v in g.edges():
-        # BFS from u to v avoiding the edge (u, v).
-        prev = {u: u}
-        queue = [u]
-        while queue and v not in prev:
-            nq = []
+        first = rows[u] & ~(1 << v)
+        prev = dict.fromkeys(bits(first), u)
+        seen = first | 1 << u
+        queue = list(prev)
+        size = 3  # the cycle's vertex count if the next layer reaches v
+        while queue and not seen >> v & 1 and (best is None or size < len(best)):
+            layer = []
             for a in queue:
-                for b in g.neighbors(a):
-                    if a == u and b == v:
-                        continue
-                    if b not in prev:
-                        prev[b] = a
-                        nq.append(b)
-            queue = nq
-        if v in prev:
-            path = [v]
-            while path[-1] != u:
-                path.append(prev[path[-1]])
-            if best is None or len(path) < len(best):
-                best = path
+                new = rows[a] & ~seen
+                seen |= new
+                for b in bits(new):
+                    prev[b] = a
+                    layer.append(b)
+                if new >> v & 1:
+                    break
+            queue = layer
+            size += 1
+        if seen >> v & 1:
+            best = [v]
+            while best[-1] != u:
+                best.append(prev[best[-1]])
+            if len(best) == 3:
+                break
     return tuple(best) if best is not None else None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 128
@@ -28,8 +29,9 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be between 0 and {MAX_VERTICES}, got {n}")
+        # type() rather than isinstance(): a bool is an int.
+        if type(n) is not int or not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be an integer in 0..{MAX_VERTICES}, got {n!r}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -188,16 +190,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
             raise ValueError(f"vertex {v} out of range for {g.n} vertices")
     if any(a == b for a, b in zip(xs, xs[1:])):
         raise ValueError("duplicate vertex in selection")
-    pos = {v: i for i, v in enumerate(xs)}
-    rows = [0] * len(xs)
-    for i, v in enumerate(xs):
-        m = g.rows[v]
-        acc = 0
-        for u in xs:
-            if m >> u & 1:
-                acc |= 1 << pos[u]
-        rows[i] = acc
-    return Graph.from_rows(rows)
+    pos = {v: 1 << i for i, v in enumerate(xs)}
+    selection = sum(1 << v for v in xs)
+    return Graph.from_rows([sum(pos[u] for u in bits(g.rows[v] & selection)) for v in xs])
 
 
 def components(g: Graph) -> list[list[int]]:
@@ -445,28 +440,28 @@ def has_induced_path_through(rows: Sequence[int], alive: int, anchor: int, t: in
 # graph6
 
 
+def _pairs(n: int) -> Iterable[tuple[int, int]]:
+    """The pairs (i, j), i < j, in graph6 order: (0, 1), (0, 2), (1, 2), (0, 3), ..."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
+def _pack(bitstr: str) -> str:
+    """A string of '0'/'1' as graph6 bytes: six bits a byte, most significant
+    first, the last byte padded with zero bits, each byte offset by 63."""
+    bitstr += "0" * (-len(bitstr) % 6)
+    return "".join(chr(int(bitstr[k:k + 6], 2) + 63) for k in range(0, len(bitstr), 6))
+
+
+def _unpack(text: str) -> str:
+    """The inverse of :func:`_pack`, padding bits included."""
+    return "".join(f"{ord(ch) - 63:06b}" for ch in text)
+
+
 def write_graph6(g: Graph) -> str:
     """Header-less graph6 encoding of ``g``."""
-    n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + chr((n >> 12) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
-    chunks = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        rj = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (rj >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        chunks.append(chr((acc << (6 - nbits)) + 63))
-    return head + "".join(chunks)
+    n, rows = g.n, g.rows
+    head = _pack(f"{n:06b}") if n <= 62 else "~" + _pack(f"{n:018b}")
+    return head + _pack("".join("01"[rows[j] >> i & 1] for i, j in _pairs(n)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -478,16 +473,15 @@ def parse_graph6(text: str) -> Graph:
         code = ord(ch)
         if not 63 <= code <= 126:
             raise Graph6Error(f"byte {code} outside graph6 range 63..126", off)
-    if s[0] == "~":
-        if len(s) < 4:
-            raise Graph6Error("truncated extended vertex-count field", len(s))
-        if s[1] == "~":
-            raise Graph6Error("vertex counts above 258047 are not supported", 1)
-        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
-        body_start = 4
+    if s[0] != "~":
+        head, body_start = s[0], 1
+    elif len(s) < 4:
+        raise Graph6Error("truncated extended vertex-count field", len(s))
+    elif s[1] == "~":
+        raise Graph6Error("vertex counts above 258047 are not supported", 1)
     else:
-        n = ord(s[0]) - 63
-        body_start = 1
+        head, body_start = s[1:4], 4
+    n = int(_unpack(head), 2)
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}", 0)
     nbits = n * (n - 1) // 2
@@ -496,19 +490,11 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"adjacency data truncated, need {need} bytes", len(s))
     if len(s) - body_start > need:
         raise Graph6Error("trailing bytes after adjacency data", body_start + need)
-    # Bits come in the writer's column-major order: (0,1), (0,2), (1,2), ...
-    rows = [0] * n
-    body = iter(s[body_start:])
-    val = left = 0
-    for j in range(1, n):
-        for i in range(j):
-            if not left:
-                val = ord(next(body)) - 63
-                left = 6
-            left -= 1
-            if val >> left & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    if val & ((1 << left) - 1):
+    body = _unpack(s[body_start:])
+    if "1" in body[nbits:]:
         raise Graph6Error("nonzero padding bits", len(s) - 1)
+    rows = [0] * n
+    for i, j in compress(_pairs(n), map("1".__eq__, body)):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return Graph.from_rows(rows)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from tricrit.dichotomy import (
@@ -26,7 +28,7 @@ from tricrit.graphs import (
     pattern_graph,
 )
 
-from oracles import canonical_form, contains_induced_brute, graphs_upto
+from oracles import canonical_form, complete_graph, contains_induced_brute, graphs_upto
 
 TRUTH_TABLE = {
     "P6": (CASE_SUBGRAPH_OF_P6, True, True),
@@ -126,6 +128,19 @@ def test_verdict_shapes():
     v = classify(cycle_graph(4))
     assert v.k is None
     assert v.witness == (1, 2, 3, 0) or len(v.witness) == 4
+
+
+@pytest.mark.parametrize("g, witness", [
+    (complete_graph(128), (1, 2, 0)),
+    (Graph(128, [(i, j) for i in range(64) for j in range(64, 128)]), (64, 1, 65, 0)),
+])
+def test_classify_dense_pattern_is_quick(g, witness):
+    # K128 and K64,64: the shortest-cycle search stops at the first triangle
+    # and never builds a BFS layer that could only tie its best cycle.
+    start = time.perf_counter()
+    v = classify(g)
+    assert time.perf_counter() - start < 2
+    assert v.case == CASE_CONTAINS_CYCLE and v.witness == witness
 
 
 def test_describe_is_a_sentence():

@@ -50,6 +50,10 @@ def test_graph_construction_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(200)
+    with pytest.raises(ValueError):
+        Graph(True)  # a bool is not a vertex count
+    with pytest.raises(ValueError):
+        Graph(2.0)
 
 
 def test_from_rows_validates():
@@ -76,6 +80,23 @@ def test_induced_subgraph_examples():
         induced_subgraph(path_graph(3), [0, 5])
     with pytest.raises(ValueError):
         induced_subgraph(path_graph(3), [0, 0])
+
+
+@given(st.integers(0, 40), st.integers(0, 2**28))
+def test_induced_subgraph_matches_relabelling(n, seed):
+    # Move the selection to 0..k-1 in ascending order and the rest after
+    # it; the first k vertices of that image are the induced subgraph.
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.random())
+    xs = sorted(rng.sample(range(n), rng.randint(0, n)))
+    order = xs + [v for v in range(n) if v not in xs]
+    perm = [0] * n
+    for i, v in enumerate(order):
+        perm[v] = i
+    k = len(xs)
+    want = Graph(k, [(u, v) for u, v in relabel(g, perm).edges() if v < k])
+    rng.shuffle(xs)
+    assert induced_subgraph(g, iter(xs)) == want
 
 
 @given(st.integers(0, 8), st.integers(0, 2**28))
@@ -377,9 +398,9 @@ def test_graph6_large_n_form():
 
 
 def test_graph6_cross_check_networkx():
+    # Every size, so both header forms and the 128-vertex cap are checked.
     rng = random.Random(7)
-    for _ in range(20):
-        n = rng.choice([0, 1, 2, 5, 9, 20, 40, 62, 63, 64, 90])
+    for n in [0, 1, 2, 5, 9, 20, 40, 62, 63, 64, 90, 127, 128] * 2:
         g = random_graph(rng, n, rng.random())
         ours = write_graph6(g)
         ng = nx.from_graph6_bytes(ours.encode())
@@ -408,3 +429,15 @@ def test_graph6_error_offsets():
     assert e.value.offset == 1
     with pytest.raises(Graph6Error):
         parse_graph6("~~~~~~~")  # 8-byte count form unsupported
+    # n = 63 has 3 padding bits and n = 128 has 2, after the 4-byte header.
+    for n in (63, 128):
+        s = write_graph6(random_graph(random.Random(n), n, 0.5))
+        assert len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6(s[:-1])
+        assert e.value.offset == len(s) - 1
+        assert "need" in str(e.value)
+        with pytest.raises(Graph6Error) as e:
+            parse_graph6(s[:-1] + chr(63 + (ord(s[-1]) - 63 | 1)))
+        assert e.value.offset == len(s) - 1
+        assert "padding" in str(e.value)
