@@ -2,9 +2,10 @@
 
 Exit codes follow one convention everywhere: 0 when the queried property
 holds or a coloring was found, 1 when it fails or no coloring exists,
-2 for unusable input (bad flags, bad pattern names, malformed files), and
-141, as a shell reports a process ended by SIGPIPE, when the reader of the
-output closed it early (``tricrit enumerate --emit /dev/stdout | head``).
+2 for unusable input (bad flags, bad pattern names, malformed files, files
+that cannot be opened), and 141, as a shell reports a process ended by
+SIGPIPE, when the reader of the output closed it early
+(``tricrit enumerate --emit /dev/stdout | head``).
 """
 from __future__ import annotations
 
@@ -12,14 +13,13 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 
 from .coloring import ListSystem, l_colorable, lists_from_json, lists_to_json
 from .dichotomy import classify, describe
 from .families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
 from .graphs import Graph, Graph6Error, parse_graph6, parse_pattern, write_graph6
 from .obstructions import is_4_vertex_critical, obstruction_report
-from .propagation import P6_REFERENCE_COUNTS, check_enumeration_args, enumerate_propagation_paths
+from .propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
 
 class _UsageError(Exception):
@@ -73,19 +73,7 @@ def _print(args: argparse.Namespace, obj, lines) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    # Bad pattern names, --max-n outside 0..MAX_ENUM_LENGTH and --jobs below 1
-    # raise ValueError, which main reports as unusable input.  They are
-    # checked before the emit file is opened, which truncates it, and the
-    # file is opened before the search, so a path that cannot be written
-    # fails before the search rather than after it.
-    patterns = [parse_pattern(name) for name in args.forbidden]
-    check_enumeration_args(args.max_n, args.jobs)
-    try:
-        sink = open(args.emit, "w") if args.emit else nullcontext()
-    except OSError as exc:
-        raise _UsageError(f"cannot write emit file {args.emit}: {exc}")
-    with sink as emit:
-        result = enumerate_propagation_paths(patterns, args.max_n, emit=emit, jobs=args.jobs)
+    result = enumerate_propagation_paths(args.forbidden, args.max_n, emit=args.emit, jobs=args.jobs)
     _print(args, {"counts": list(result.counts), "max_length": result.max_length},
            [f"{k}\t{c}" for k, c in enumerate(result.counts, 1)]
            + [f"max_length\t{result.max_length}"])
@@ -222,13 +210,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Point stdout at the null device so the flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except (_UsageError, ValueError, OSError) as exc:
+        # BrokenPipeError is an OSError, so it is caught above first.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -379,8 +379,9 @@ def _as_path_length(h: Graph) -> int | None:
 
 def has_induced_path(g: Graph, t: int) -> bool:
     """Does ``g`` contain an induced path on ``t`` vertices?"""
-    if t < 1:
-        raise ValueError(f"path length must be positive, got {t}")
+    # type() rather than isinstance(): a bool is an int.
+    if type(t) is not int or t < 1:
+        raise ValueError(f"path length must be a positive integer, got {t!r}")
     return t <= g.n and contains_induced(g, path_graph(t))
 
 

@@ -68,10 +68,8 @@ class PropConfig:
         for a, b in zip(self.colors, self.colors[1:]):
             if a == b:
                 raise ValueError("consecutive path vertices share a color")
-        k = len(self.colors)
         for i, j in self.extra_edges:
-            if not (1 <= i and i < j - 1 and j <= k):
-                raise ValueError(f"chord ({i}, {j}) is not a valid non-consecutive pair")
+            _check_chord(i, j, self.k)
 
     @property
     def k(self) -> int:
@@ -113,9 +111,16 @@ def admissible_edge(cfg: PropConfig, i: int, j: int) -> bool:
     c(v_{j-1}) pairwise distinct; chords with i >= 3 must also have
     c(v_{i-1}) = c(v_j), as in :func:`satisfies_condition1`.
     """
-    if not (1 <= i and i < j - 1 and j <= cfg.k):
-        raise ValueError(f"chord ({i}, {j}) is not a valid non-consecutive pair for k={cfg.k}")
+    _check_chord(i, j, cfg.k)
     return i - 1 in _chord_starts(cfg.colors[:j - 1], cfg.colors[j - 1])
+
+
+def _check_chord(i: int, j: int, k: int) -> None:
+    """Raise ValueError unless (v_i, v_j) is a chord of a path on k vertices:
+    integers with 1 <= i < j - 1 and j <= k."""
+    # type() rather than isinstance(): a bool is an int.
+    if type(i) is not int or type(j) is not int or not 1 <= i < j - 1 < k:
+        raise ValueError(f"chord ({i!r}, {j!r}) is not a valid non-consecutive pair for k={k}")
 
 
 def _chord_starts(colors, alpha: int) -> list[int]:
@@ -285,14 +290,12 @@ def enumerate_propagation_paths(
     ``jobs`` farms subtrees out to worker processes; results do not depend
     on it.  The pool never exceeds the machine's core count — the work is
     CPU-bound, so extra processes beyond that only add scheduling overhead.
+
+    All input is taken before the search, in this order: ``max_n`` and
+    ``jobs`` are checked, every pattern is resolved, and an ``emit`` path
+    is opened, which creates or truncates it.  A bad argument leaves the
+    file untouched, and a path that cannot be written fails at once.
     """
-    check_enumeration_args(max_n, jobs)
-    return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
-
-
-def check_enumeration_args(max_n: int, jobs: int) -> None:
-    """Raise ValueError unless ``max_n`` is an integer in 0..MAX_ENUM_LENGTH
-    and ``jobs`` an integer of at least 1."""
     # type() rather than isinstance(): a bool is an int.
     if type(max_n) is not int or max_n < 0:
         raise ValueError(f"max_n must be a non-negative integer, got {max_n!r}")
@@ -300,6 +303,7 @@ def check_enumeration_args(max_n: int, jobs: int) -> None:
         raise ValueError(f"max_n is capped at {MAX_ENUM_LENGTH}, got {max_n}")
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
 
 
 def max_propagation_length(forbidden: Iterable) -> int:
@@ -316,27 +320,28 @@ def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
     """The search behind both entry points: one driver down to length
     ``_SPLIT_DEPTH``, then its tasks through :func:`_worker`, in this
     process for one job and on a process pool for more."""
+    if isinstance(forbidden, str):
+        raise ValueError(f"expected a collection of patterns, got the string {forbidden!r}")
     searches = [PatternSearch(h) for h in forbidden]
     collect = emit is not None
-    driver = _Engine(searches, max_n, collect, min(_SPLIT_DEPTH, max_n))
-    driver.run_root()
-    counts, lines = driver.counts, driver.lines
-    run = partial(_worker, searches, max_n, collect)
-    tasks = driver.tasks
-    pool = multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else None
-    with pool or nullcontext():
-        results = pool.imap_unordered(run, tasks, chunksize=8) if pool else map(run, tasks)
-        for wcounts, wlines in results:
-            for i, c in enumerate(wcounts):
-                counts[i] += c
-            if collect:
-                lines.extend(wlines)
-    counts[1:] = [2 * c for c in counts[1:]]
-    if collect:
-        lines += [(k, cs.translate(_SWAP_2_3), es) for k, cs, es in lines if k > 1]
-        lines.sort()
-        with nullcontext(emit) if hasattr(emit, "write") else open(emit, "w") as sink:
+    with open(emit, "w") if collect and not hasattr(emit, "write") else nullcontext(emit) as sink:
+        driver = _Engine(searches, max_n, collect, min(_SPLIT_DEPTH, max_n))
+        driver.run_root()
+        counts, lines = driver.counts, driver.lines
+        run = partial(_worker, searches, max_n, collect)
+        tasks = driver.tasks
+        pool = multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else None
+        with pool or nullcontext():
+            results = pool.imap_unordered(run, tasks, chunksize=8) if pool else map(run, tasks)
+            for wcounts, wlines in results:
+                for i, c in enumerate(wcounts):
+                    counts[i] += c
+                if collect:
+                    lines.extend(wlines)
+        counts[1:] = [2 * c for c in counts[1:]]
+        if collect:
+            lines += [(k, cs.translate(_SWAP_2_3), es) for k, cs, es in lines if k > 1]
+            lines.sort()
             for k, group in groupby(lines, key=itemgetter(0)):
                 sink.write("".join(f"{k} {cs} {es}\n" for _, cs, es in group))
     return EnumerationResult(tuple(counts))
-

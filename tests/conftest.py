@@ -10,6 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from tricrit.graphs import PatternSearch
 from tricrit.propagation import enumerate_propagation_paths
 
 
@@ -22,3 +23,15 @@ def p6_run():
     result = enumerate_propagation_paths(["P6"], 25, emit=buf)
     elapsed = time.monotonic() - t0
     return result, elapsed, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The list of arguments of every :meth:`PatternSearch.through` call
+    made while the test runs."""
+    calls = []
+    through = PatternSearch.through
+    monkeypatch.setattr(
+        PatternSearch, "through", lambda *args: calls.append(args) or through(*args)
+    )
+    return calls

@@ -66,13 +66,11 @@ def test_enumerate_emit_file(capsys, tmp_path):
     assert lines == sorted(lines)
 
 
-def test_enumerate_unwritable_emit_fails_before_search(capsys, monkeypatch, tmp_path):
-    searched = []
-    monkeypatch.setattr(cli, "enumerate_propagation_paths", lambda *a, **k: searched.append(a))
+def test_enumerate_unwritable_emit_fails_before_search(capsys, search_calls, tmp_path):
     bad = str(tmp_path / "missing" / "dir" / "x.txt")
-    rc, out, err = run(capsys, "enumerate", "--forbidden", "P6", "--max-n", "5", "--emit", bad)
-    assert rc == 2 and out == "" and not searched
-    assert err.startswith("error: cannot write emit file") and err.count("\n") == 1
+    rc, out, err = run(capsys, "enumerate", "--forbidden", "P6", "--max-n", "25", "--emit", bad)
+    assert rc == 2 and out == "" and search_calls == []
+    assert err.startswith("error: ") and bad in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -172,8 +170,11 @@ def test_solve_bad_lists_dimension(capsys, tmp_path):
     gpath, _ = write_instance(tmp_path, cycle_graph(4))
     lpath = tmp_path / "short.json"
     lpath.write_text(json.dumps({"n": 2, "lists": [[1], [2]]}))
-    rc, _, err = run(capsys, "solve", "--graph", gpath, "--lists", str(lpath))
-    assert rc == 2 and "error" in err
+    for command in ("solve", "check"):
+        rc, out, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
+        assert rc == 2 and out == "", command
+        assert err.startswith("error: ") and str(lpath) in err and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_check_minimal_obstruction(capsys, tmp_path):

@@ -143,6 +143,12 @@ def test_contains_induced_basics():
     assert not has_induced_path(path_graph(3), 4)
 
 
+def test_has_induced_path_rejects_bad_length():
+    for t in (0, -1, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="path length must be a positive integer"):
+            has_induced_path(path_graph(3), t)
+
+
 def test_find_induced_embedding_is_faithful():
     g = disjoint_union(cycle_graph(5), path_graph(4))
     h = pattern_graph("P4")

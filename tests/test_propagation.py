@@ -7,7 +7,7 @@ import multiprocessing
 import pytest
 
 from tricrit import propagation
-from tricrit.graphs import Graph, PatternSearch, pattern_graph
+from tricrit.graphs import Graph, pattern_graph
 from tricrit.propagation import (
     EnumerationResult,
     P6_REFERENCE_COUNTS,
@@ -50,6 +50,12 @@ def test_prop_config_validation():
         PropConfig((1, 2, 1), frozenset({(0, 2)}))
     with pytest.raises(ValueError):
         PropConfig((1, 2, 1), frozenset({(2, 9)}))
+    # Chord endpoints are ints, not bools or floats.
+    for chord in [(1.0, 3), (True, 3), (1, 3.0)]:
+        with pytest.raises(ValueError, match="not a valid non-consecutive pair"):
+            PropConfig((1, 2, 1, 2), frozenset({chord}))
+        with pytest.raises(ValueError, match="not a valid non-consecutive pair"):
+            admissible_edge(PropConfig((1, 2, 1, 2)), *chord)
 
 
 def test_prop_config_accessors():
@@ -164,8 +170,14 @@ def test_max_length_examples():
     assert max_propagation_length(["P2"]) == 1
     # Crosses the length-6 split between the driver and its tasks.
     assert max_propagation_length(["P5"]) == 12
-    with pytest.raises(ResourceLimitError):
-        max_propagation_length([])
+
+
+@pytest.mark.parametrize("names", [[], ["claw"], ["C3"]], ids=["none", "claw", "C3"])
+def test_unbounded_search_raises_resource_limit(names):
+    # The chordless path avoids each of these, and the search follows it.
+    with pytest.raises(ResourceLimitError, match="^configurations reach length 128; "
+                       "the search looks unbounded$"):
+        max_propagation_length(names)
 
 
 def test_emitted_stream_is_valid_and_complete():
@@ -244,22 +256,14 @@ def test_emitted_stream_matches_uncached_search(monkeypatch, names, max_n, total
         assert buf.getvalue() == expected, (names, split)
 
 
-def test_witness_cache_skips_searches(monkeypatch):
+def test_witness_cache_skips_searches(search_calls):
     # A chord subset that keeps a copy already found is rejected without
     # a search, for as long as the copy's rows stay fixed.  Searching
     # every subset takes 198,042 searches for P6 up to length 14; keeping
     # witnesses only for one parent and color takes 87,521.
-    calls = []
-    through = PatternSearch.through
-
-    def counted(self, rows, alive, anchor):
-        calls.append(anchor)
-        return through(self, rows, alive, anchor)
-
-    monkeypatch.setattr(PatternSearch, "through", counted)
     r = enumerate_propagation_paths(["P6"], 14)
     assert r.counts == P6_REFERENCE_COUNTS[:14]
-    assert len(calls) <= 65_000, len(calls)
+    assert len(search_calls) <= 65_000, len(search_calls)
 
 
 def test_counts_deterministic_across_workers(monkeypatch):
@@ -328,6 +332,26 @@ def test_emit_to_path(tmp_path):
     assert len(lines) == r.total == 31
     assert lines[0] == "1 1 -"
     assert parse_emitted_line(lines[0]) == PropConfig((1,))
+
+
+def test_unwritable_emit_path_fails_before_search(search_calls, tmp_path):
+    missing = tmp_path / "missing" / "x.txt"
+    with pytest.raises(FileNotFoundError):
+        enumerate_propagation_paths(["P6"], 25, emit=str(missing))
+    assert search_calls == []
+    enumerate_propagation_paths(["P6"], 2, emit=str(tmp_path / "x.txt"))
+    assert search_calls
+
+
+def test_bare_string_is_not_a_pattern_collection(tmp_path):
+    out = tmp_path / "x.txt"
+    for call in (
+        lambda: enumerate_propagation_paths("P6", 5, emit=str(out)),
+        lambda: max_propagation_length("P6"),
+    ):
+        with pytest.raises(ValueError, match="collection of patterns"):
+            call()
+    assert not out.exists()
 
 
 def test_reference_counts_shape():
