@@ -1,10 +1,11 @@
 """Tools for studying minimal obstructions to list 3-coloring.
 
 The package provides a small bitmask graph type, an exact list 3-coloring
-solver with the updating rules used in criticality arguments, an exhaustive
-enumerator for chorded propagation paths, generators and verifiers for two
-infinite certificate families, and a structural classifier that decides for
-a forbidden pattern H whether the associated obstruction classes are finite.
+solver with the rule of updating along a path, obstruction predicates, an
+exhaustive enumerator for chorded propagation paths, generators and
+verifiers for two infinite certificate families, and a structural
+classifier that decides for a forbidden pattern H whether the associated
+obstruction classes are finite.
 """
 
 from .graphs import (
@@ -24,16 +25,11 @@ from .coloring import (
     l_colorable,
     lists_from_json,
     lists_to_json,
-    precolor_and_update,
     update_along_path,
-    update_from,
-    update_wrt_set,
-    update_wrt_set_detailed,
 )
 from .obstructions import (
     ObstructionReport,
     critical_vertices,
-    dominates,
     extract_minimal,
     is_4_vertex_critical,
     is_minimal_obstruction,

@@ -1,19 +1,17 @@
-"""List systems over the palette {1,2,3}: exact solving and updating rules.
+"""List systems over the palette {1,2,3}: exact solving and updating along a path.
 
 A list system stores one 3-bit mask per vertex (bit c-1 for color c).  The
 solver works on three color classes instead, bitmasks of the live vertices
 whose list still holds color 1, 2 or 3, and a deletion is a mask of live
 vertices.  It is backtracking with unit propagation and smallest-list-first
 branching, which is exact and more than fast enough at the sizes studied
-here.  The updating rules are the bookkeeping steps used in criticality
-arguments: deleting a forced color from the lists of neighbors, walking a
-path, and running simultaneous rounds against a growing set of forced
-vertices.
+here.  :func:`update_along_path` colors the first vertex of a path and
+deletes each forced color from the list of the next vertex, which is how
+the Hr family is certified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, bits
 
@@ -40,7 +38,8 @@ class ListSystem:
     def __init__(self, masks: Iterable[int]):
         ms = tuple(masks)
         for v, m in enumerate(ms):
-            if not 0 <= m <= FULL_MASK:
+            # type() rather than isinstance(): a bool is an int.
+            if type(m) is not int or not 0 <= m <= FULL_MASK:
                 raise ValueError(f"list mask {m} at vertex {v} is not a 3-bit mask")
         self.masks = ms
 
@@ -103,8 +102,8 @@ def _check_dims(g: Graph, l: ListSystem, *vertices: int):
     if l.n != g.n:
         raise ValueError(f"list system has {l.n} entries for a {g.n}-vertex graph")
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+        if type(v) is not int or not 0 <= v < g.n:
+            raise ValueError(f"vertex {v!r} out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +199,7 @@ def _solve(rows, p1, p2, p3, done):
 
 
 # ---------------------------------------------------------------------------
-# updating rules
-
-
-def update_from(g: Graph, l: ListSystem, w: int, v: int) -> ListSystem:
-    """Delete the single color of ``w`` from the list of its neighbor ``v``."""
-    _check_dims(g, l, w, v)
-    if l.size(w) != 1:
-        raise ValueError(f"vertex {w} must have a one-color list, has {l.colors(w)}")
-    if not g.has_edge(w, v):
-        raise ValueError(f"vertices {w} and {v} are not adjacent")
-    masks = list(l.masks)
-    masks[v] &= ~masks[w]
-    return ListSystem(masks)
+# updating along a path
 
 
 def update_along_path(
@@ -246,87 +233,3 @@ def update_along_path(
         if masks[v].bit_count() == 1:
             colors[v] = masks[v].bit_length()
     return tuple(colors)
-
-
-@dataclass(frozen=True)
-class UpdateOutcome:
-    """Full result of the round-based update: lists, forced set, conflict flag."""
-
-    lists: ListSystem
-    fixed: frozenset[int]
-    conflict: bool
-    rounds: int
-
-
-def update_wrt_set_detailed(
-    g: Graph, l: ListSystem, x: Iterable[int], rounds: int | str
-) -> UpdateOutcome:
-    """Run simultaneous update rounds against the forced set ``x``.
-
-    In each round every vertex outside the current forced set loses the
-    colors of its one-color forced neighbors, computed from the previous
-    round's lists.  Vertices whose list first drops to size at most one
-    join the forced set.  If two adjacent forced vertices share the same
-    one-color list, or any list is empty, the instance is infeasible given
-    the forced assignments: all lists outside the forced set are emptied
-    and the conflict flag is set.  ``rounds`` is a round count or
-    "exhaustive" to run to the fixpoint.
-    """
-    xs = frozenset(x)
-    _check_dims(g, l, *xs)
-    for v in xs:
-        if l.size(v) > 1:
-            raise ValueError(f"vertex {v} in the forced set has {l.size(v)} colors listed")
-    if rounds == "exhaustive":
-        bound = None
-    elif type(rounds) is int and rounds >= 0:
-        bound = rounds
-    else:
-        raise ValueError(f'rounds must be a non-negative integer or "exhaustive", got {rounds!r}')
-    # A forced list never holds more than one color, so clearing a forced
-    # neighbor's whole list is the update rule, and two forced neighbors
-    # with equal lists clash unless both are empty, which counts anyway.
-    rows = g.rows
-    masks = list(l.masks)
-    forced = sum(1 << v for v in xs)
-    conflict = False
-    done = 0
-    while bound is None or done < bound:
-        new = masks[:]
-        grown = forced
-        for v in bits((1 << g.n) - 1 & ~forced):
-            for u in bits(rows[v] & forced):
-                new[v] &= ~masks[u]
-            if new[v].bit_count() <= 1 < masks[v].bit_count():
-                grown |= 1 << v
-        if 0 in new or any(new[w] == new[u] for u in bits(forced) for w in bits(rows[u] & forced)):
-            conflict = True
-            new = [m if grown >> v & 1 else 0 for v, m in enumerate(new)]
-        if new == masks and grown == forced:
-            break
-        masks, forced = new, grown
-        done += 1
-    return UpdateOutcome(ListSystem(masks), frozenset(bits(forced)), conflict, done)
-
-
-def update_wrt_set(g: Graph, l: ListSystem, x: Iterable[int], rounds: int | str) -> ListSystem:
-    """Round-based updating as in :func:`update_wrt_set_detailed`, lists only."""
-    return update_wrt_set_detailed(g, l, x, rounds).lists
-
-
-def precolor_and_update(
-    g: Graph, l: ListSystem, assignment: Mapping[int, int], rounds: int | str = 3
-) -> ListSystem:
-    """Pin the given vertices to single colors, then run update rounds.
-
-    The assigned color must lie in the vertex's current list.  By default
-    three rounds are run; pass "exhaustive" to reach the fixpoint.
-    """
-    _check_dims(g, l, *assignment)
-    masks = list(l.masks)
-    for v, c in assignment.items():
-        cb = color_bit(c)
-        if not masks[v] & cb:
-            raise ValueError(f"color {c} is not in the list of vertex {v}")
-        masks[v] = cb
-    return update_wrt_set(g, ListSystem(masks), assignment.keys(), rounds)

@@ -34,8 +34,8 @@ class Graph:
             raise ValueError(f"vertex count must be an integer in 0..{MAX_VERTICES}, got {n!r}")
         rows = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r}, {v!r}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
@@ -51,8 +51,8 @@ class Graph:
             raise ValueError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
-            if row & ~full:
-                raise ValueError(f"adjacency row {v} has bits outside 0..{n - 1}")
+            if type(row) is not int or row & ~full:
+                raise ValueError(f"adjacency row {v} is not a bitmask over 0..{n - 1}: {row!r}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
         for v, row in enumerate(rows):

@@ -1,4 +1,4 @@
-"""Obstruction predicates: minimality, critical vertices, domination.
+"""Obstruction predicates: minimality, critical vertices, minimal cores.
 
 An obstruction is a pair (G, L) with no proper coloring from the lists.
 It is minimal when deleting any single vertex (with its list) restores
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .coloring import ListSystem, _check_dims, _l_colorable, l_colorable, lists_to_json
+from .coloring import ListSystem, _l_colorable, l_colorable, lists_to_json
 from .graphs import Graph, bits, induced_subgraph
 
 
@@ -120,20 +120,6 @@ def _extract(g: Graph, l: ListSystem, candidates: Iterable[int], peeled: int):
             alive ^= b
     keep = tuple(bits(alive))
     return keep, induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep)
-
-
-def dominates(g: Graph, l: ListSystem, u: int, v: int) -> bool:
-    """Does ``u`` dominate ``v``: L(u) contained in L(v) and N(v) in N(u)?
-
-    Neighborhoods are open, so adjacent vertices never dominate each other.
-    A minimal obstruction can never contain a dominating pair.
-    """
-    _check_dims(g, l, u, v)
-    if u == v:
-        raise ValueError("domination needs two distinct vertices")
-    if l.masks[u] & ~l.masks[v]:
-        return False
-    return g.rows[v] & ~g.rows[u] == 0
 
 
 def is_4_vertex_critical(g: Graph) -> bool:

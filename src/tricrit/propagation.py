@@ -76,8 +76,8 @@ class PropConfig:
         return len(self.colors)
 
     def color(self, i: int) -> int:
-        if not 1 <= i <= self.k:
-            raise ValueError(f"vertex index {i} out of range 1..{self.k}")
+        if type(i) is not int or not 1 <= i <= self.k:
+            raise ValueError(f"vertex index {i!r} out of range 1..{self.k}")
         return self.colors[i - 1]
 
     def graph(self) -> Graph:
@@ -90,8 +90,8 @@ def shape(cfg: PropConfig, i: int) -> tuple[int, int]:
     """The pair (c(v_i), c(v_{i-1})); undefined at the path start."""
     if i == 1:
         raise ValueError("shape is undefined at the first path vertex")
-    if not 2 <= i <= cfg.k:
-        raise ValueError(f"vertex index {i} out of range 2..{cfg.k}")
+    if type(i) is not int or not 2 <= i <= cfg.k:
+        raise ValueError(f"vertex index {i!r} out of range 2..{cfg.k}")
     return (cfg.colors[i - 1], cfg.colors[i - 2])
 
 
@@ -149,8 +149,8 @@ class EnumerationResult:
         return best
 
     def count_at(self, k: int) -> int:
-        if not 1 <= k <= len(self.counts):
-            raise ValueError(f"length {k} outside the enumerated range 1..{len(self.counts)}")
+        if type(k) is not int or not 1 <= k <= len(self.counts):
+            raise ValueError(f"length {k!r} outside the enumerated range 1..{len(self.counts)}")
         return self.counts[k - 1]
 
     @property

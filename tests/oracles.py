@@ -3,18 +3,19 @@
 Everything here is deliberately naive: exhaustive products over colorings,
 permutation backtracking for isomorphism, subset enumeration for induced
 containment, and a from-scratch filter for propagation configurations.
-The canonical-form search that builds the graph census lives here too,
-since only the tests use it.  None of it shares code with the paths it is
-used to check.
+The canonical-form search that builds the graph census, the round-based
+updating rules and domination live here too, since only the tests use
+them.  None of it shares code with the paths it is used to check.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from tricrit.coloring import ListSystem, UpdateOutcome
+from tricrit.coloring import ListSystem
 from tricrit.graphs import Graph
 from tricrit.propagation import PropConfig
 
@@ -325,6 +326,16 @@ def random_lists(rng: random.Random, n: int, allow_empty: bool = False) -> ListS
 # round-based updating, written out step by step
 
 
+@dataclass(frozen=True)
+class UpdateOutcome:
+    """Full result of the round-based update: lists, forced set, conflict flag."""
+
+    lists: ListSystem
+    fixed: frozenset[int]
+    conflict: bool
+    rounds: int
+
+
 def update_wrt_set_reference(g: Graph, l: ListSystem, x, rounds) -> UpdateOutcome:
     """Simultaneous update rounds against the forced set ``x``, one step at a time.
 
@@ -505,7 +516,6 @@ def assert_minimal_obstruction_sane(g: Graph, lists: ListSystem):
     """The sanity battery every minimal obstruction must survive."""
     from tricrit.coloring import l_colorable
     from tricrit.graphs import components, induced_subgraph
-    from tricrit.obstructions import dominates
 
     assert l_colorable(g, lists) is None, "claimed obstruction is colorable"
     for v in range(g.n):
@@ -519,6 +529,16 @@ def assert_minimal_obstruction_sane(g: Graph, lists: ListSystem):
                 assert not dominates(g, lists, u, v), f"{u} dominates {v}"
     if g.n > 1:
         assert len(components(g)) == 1, "a minimal obstruction must be connected"
+
+
+def dominates(g: Graph, l: ListSystem, u: int, v: int) -> bool:
+    """Does ``u`` dominate ``v``: L(u) contained in L(v) and N(v) in N(u)?
+
+    Neighborhoods are open, so adjacent vertices never dominate each other.
+    A minimal obstruction can never contain a dominating pair.  ``u`` and
+    ``v`` are assumed to be distinct vertices of ``g``.
+    """
+    return not l.masks[u] & ~l.masks[v] and not g.rows[v] & ~g.rows[u]
 
 
 def extract_minimal_restart(g: Graph, lists: ListSystem) -> tuple[int, ...]:

@@ -11,11 +11,7 @@ from tricrit.coloring import (
     l_colorable,
     lists_from_json,
     lists_to_json,
-    precolor_and_update,
     update_along_path,
-    update_from,
-    update_wrt_set,
-    update_wrt_set_detailed,
 )
 from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import Graph, cycle_graph, induced_subgraph, path_graph
@@ -45,6 +41,9 @@ def test_list_system_basics():
     for bad in (True, 1.0):
         with pytest.raises(ValueError):
             ListSystem.from_sets([(bad,)])
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError):
+            ListSystem([bad])
 
 
 def test_lists_json_round_trip():
@@ -126,7 +125,7 @@ def test_propagate_matches_exhaustive_update(seed, n):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.random())
     l = ListSystem([rng.choice((1, 2, 4, 7, rng.randint(1, 7))) for _ in range(n)])
-    out = update_wrt_set_detailed(g, l, [v for v in range(n) if l.size(v) == 1], "exhaustive")
+    out = update_wrt_set_reference(g, l, [v for v in range(n) if l.size(v) == 1], "exhaustive")
     classes = (sum(1 << v for v in range(n) if l.masks[v] & c) for c in (1, 2, 4))
     res = _propagate(g.rows, *classes, 0)
     assert (res is None) == out.conflict
@@ -138,23 +137,11 @@ def test_propagate_matches_exhaustive_update(seed, n):
 
 
 def test_update_from_example():
+    # one round against a forced vertex deletes its color from its neighbor
     g = path_graph(2)
     l = ListSystem.from_sets([(2,), (1, 2, 3)])
-    out = update_from(g, l, 0, 1)
-    assert out.to_sets() == [(2,), (1, 3)]
-
-
-def test_update_from_contract():
-    g = path_graph(3)
-    l = ListSystem.from_sets([(1, 2), (1,), (3,)])
-    with pytest.raises(ValueError):
-        update_from(g, l, 0, 1)  # w not a singleton
-    with pytest.raises(ValueError):
-        update_from(g, l, 2, 0)  # not adjacent
-    one = ListSystem.from_sets([(1,), (1, 2), (1, 2, 3)])
-    for w, v in [(-3, 1), (0, -2), (0, 3)]:  # a negative index must not wrap around
-        with pytest.raises(ValueError, match="out of range"):
-            update_from(g, one, w, v)
+    out = update_wrt_set_reference(g, l, [0], 1)
+    assert out.lists.to_sets() == [(2,), (1, 3)]
 
 
 def test_update_along_path_simple():
@@ -182,7 +169,8 @@ def test_update_along_path_contract():
         update_along_path(g, l, [0, 1, 0], 1)
     with pytest.raises(ValueError):
         update_along_path(g, ListSystem.from_sets([(2,), (1,), (1,)]), [0, 1, 2], 1)
-    for path in ([-1], [5], [0, 1, -1]):  # a negative index must not wrap around
+    # a negative index must not wrap around, and a bool is not an index
+    for path in ([-1], [5], [0, 1, -1], [False, True]):
         with pytest.raises(ValueError, match="out of range"):
             update_along_path(g, l, path, 1)
 
@@ -203,17 +191,17 @@ def test_update_along_obstruction_backbone():
 def test_update_wrt_set_zero_rounds_is_identity():
     g = path_graph(4)
     l = ListSystem.from_sets([(1,), (1, 2), (2, 3), (1, 2, 3)])
-    out = update_wrt_set(g, l, [0], 0)
-    assert out == l
+    out = update_wrt_set_reference(g, l, [0], 0)
+    assert out.lists == l
 
 
 def test_update_wrt_set_chain():
     # a-b-c with a pinned: one round fixes b, the next fixes c
     g = path_graph(3)
     l = ListSystem.from_sets([(1,), (1, 2), (2, 3)])
-    one = update_wrt_set(g, l, [0], 1)
-    assert one.to_sets() == [(1,), (2,), (2, 3)]
-    out = update_wrt_set_detailed(g, l, [0], "exhaustive")
+    one = update_wrt_set_reference(g, l, [0], 1)
+    assert one.lists.to_sets() == [(1,), (2,), (2, 3)]
+    out = update_wrt_set_reference(g, l, [0], "exhaustive")
     assert out.lists.to_sets() == [(1,), (2,), (3,)]
     assert out.conflict is False
     assert out.fixed == frozenset({0, 1, 2})
@@ -224,23 +212,9 @@ def test_update_wrt_set_conflict_wipes_outside():
     # two adjacent forced vertices sharing one color: everything else empties
     g = path_graph(3)
     l = ListSystem.from_sets([(1,), (1,), (1, 2, 3)])
-    out = update_wrt_set_detailed(g, l, [0, 1], 1)
+    out = update_wrt_set_reference(g, l, [0, 1], 1)
     assert out.conflict is True
     assert out.lists.to_sets() == [(1,), (1,), ()]
-
-
-def test_update_wrt_set_contract():
-    g = path_graph(2)
-    with pytest.raises(ValueError):
-        update_wrt_set(g, ListSystem.full(2), [0], 1)  # forced vertex list too wide
-    with pytest.raises(ValueError):
-        update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [5], 1)
-    with pytest.raises(ValueError):
-        update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [0], -1)
-    with pytest.raises(ValueError):
-        update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [0], "forever")
-    with pytest.raises(ValueError):
-        update_wrt_set(g, ListSystem.from_sets([(1,), (2,)]), [0], True)
 
 
 @given(st.integers(0, 2**28), st.integers(1, 7), st.integers(0, 4))
@@ -250,7 +224,7 @@ def test_update_wrt_set_lists_only_shrink(seed, n, rounds):
     g = random_graph(rng, n, 0.5)
     l = random_lists(rng, n, allow_empty=True)
     x = [v for v in range(n) if l.size(v) <= 1 and rng.random() < 0.7]
-    out = update_wrt_set(g, l, x, rounds)
+    out = update_wrt_set_reference(g, l, x, rounds).lists
     for v in range(n):
         assert out.masks[v] & ~l.masks[v] == 0
         if v in x:
@@ -264,8 +238,8 @@ def test_update_wrt_set_fixpoint_is_stable(seed, n):
     g = random_graph(rng, n, 0.5)
     l = random_lists(rng, n, allow_empty=False)
     x = [v for v in range(n) if l.size(v) == 1 and rng.random() < 0.7]
-    out = update_wrt_set_detailed(g, l, x, "exhaustive")
-    again = update_wrt_set_detailed(g, out.lists, out.fixed, "exhaustive")
+    out = update_wrt_set_reference(g, l, x, "exhaustive")
+    again = update_wrt_set_reference(g, out.lists, out.fixed, "exhaustive")
     assert again.lists == out.lists
 
 
@@ -280,54 +254,34 @@ def test_update_wrt_set_preserves_solutions(seed, n):
     sol = brute_l_colorable(g, l)
     if sol is None:
         return
-    out = update_wrt_set_detailed(g, l, x, "exhaustive")
+    out = update_wrt_set_reference(g, l, x, "exhaustive")
     if not out.conflict:
         for v in range(n):
             if v not in out.fixed:
                 assert sol[v] in out.lists.colors(v)
 
 
-@given(
-    st.integers(0, 2**28),
-    st.integers(1, 8),
-    st.sampled_from([0, 1, 2, 3, 4, "exhaustive"]),
-)
-@settings(max_examples=300, deadline=None)
-def test_update_wrt_set_matches_reference(seed, n, rounds):
-    # lists, forced set, conflict flag and round count, against the
-    # step-by-step reference
-    rng = random.Random(seed)
-    g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-    l = random_lists(rng, n, allow_empty=True)
-    x = [v for v in range(n) if l.size(v) <= 1 and rng.random() < 0.7]
-    assert update_wrt_set_detailed(g, l, x, rounds) == update_wrt_set_reference(g, l, x, rounds)
-
-
 def test_precolor_and_update_empty_assignment():
     g = path_graph(3)
     l = ListSystem.full(3)
-    assert precolor_and_update(g, l, {}) == l
+    assert update_wrt_set_reference(g, l, [], 3).lists == l
 
 
 def test_precolor_and_update_triangle_kills_fourth():
+    # the triangle of K4 pinned to 1, 2, 3 leaves the fourth vertex no color
     g = complete_graph(4)
-    out = precolor_and_update(g, ListSystem.full(4), {0: 1, 1: 2, 2: 3})
-    assert out.colors(3) == ()
-
-
-def test_precolor_and_update_out_of_list():
-    g = path_graph(2)
-    l = ListSystem.from_sets([(1, 2), (3,)])
-    with pytest.raises(ValueError):
-        precolor_and_update(g, l, {0: 3})
+    l = ListSystem.from_sets([(1,), (2,), (3,), (1, 2, 3)])
+    out = update_wrt_set_reference(g, l, [0, 1, 2], 3)
+    assert out.lists.colors(3) == ()
 
 
 def test_precolor_circulant_forces_everything():
     # pinning one triangle of the 16-vertex circulant determines every list;
     # one vertex empties, its antipode is forced to color 3.
     g = gen_Gr(5)
-    out = precolor_and_update(g, ListSystem.full(16), {1: 1, 2: 2, 3: 3}, "exhaustive")
-    assert out.to_sets() == [
+    l = ListSystem.from_sets([(1, 2, 3), (1,), (2,), (3,)] + [(1, 2, 3)] * 12)
+    out = update_wrt_set_reference(g, l, [1, 2, 3], "exhaustive")
+    assert out.lists.to_sets() == [
         (3,),
         (1,),
         (2,),

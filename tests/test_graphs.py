@@ -54,6 +54,9 @@ def test_graph_construction_rejects_bad_edges():
         Graph(True)  # a bool is not a vertex count
     with pytest.raises(ValueError):
         Graph(2.0)
+    for edge in ((0, 2.0), (True, 2)):  # (True, 2) would be the edge (1, 2)
+        with pytest.raises(ValueError):
+            Graph(3, [edge])
 
 
 def test_from_rows_validates():
@@ -61,6 +64,9 @@ def test_from_rows_validates():
         Graph.from_rows([0b10, 0b000])  # asymmetric
     with pytest.raises(ValueError):
         Graph.from_rows([0b01])  # self-loop
+    for rows in ([1.0], [0b10, True]):  # True == 1 would be accepted as a row
+        with pytest.raises(ValueError):
+            Graph.from_rows(rows)
     g = Graph.from_rows([0b010, 0b101, 0b010])
     assert g == path_graph(3)
 

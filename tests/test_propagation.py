@@ -64,16 +64,18 @@ def test_prop_config_accessors():
     assert cfg.color(2) == 2
     g = cfg.graph()
     assert g.n == 3 and g.edge_count() == 3
-    with pytest.raises(ValueError):
-        cfg.color(0)
+    for bad in (0, True, 1.0):  # True == 1.0 == 1, so only a type check keeps them out
+        with pytest.raises(ValueError):
+            cfg.color(bad)
 
 
 def test_shape_examples():
     assert shape(PropConfig((1, 2)), 2) == (2, 1)
     assert shape(PropConfig((1, 2, 3)), 3) == (3, 2)
     assert shape(PropConfig((1, 3, 1)), 3) == (1, 3)
-    with pytest.raises(ValueError):
-        shape(PropConfig((1, 2)), 1)
+    for bad in (1, 2.0):
+        with pytest.raises(ValueError):
+            shape(PropConfig((1, 2)), bad)
 
 
 def test_condition1_examples():
@@ -112,10 +114,9 @@ def test_enumeration_result_accessors():
     assert r.max_length == 4
     assert r.count_at(2) == 2
     assert r.total == 7
-    with pytest.raises(ValueError):
-        r.count_at(0)
-    with pytest.raises(ValueError):
-        r.count_at(6)
+    for bad in (0, 6, True, 1.0):
+        with pytest.raises(ValueError):
+            r.count_at(bad)
 
 
 def test_enumerate_p6_prefix():
