@@ -182,12 +182,12 @@ def pattern_graph(h) -> Graph:
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on ``vertices``, relabeled 0..k-1 in ascending order.
 
-    Duplicate vertices are rejected, as are vertices outside 0..n-1.
+    Duplicate, non-integer and out-of-range vertices are rejected.
     """
     xs = sorted(vertices)
     for v in xs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for {g.n} vertices")
+        if type(v) is not int or not 0 <= v < g.n:
+            raise ValueError(f"vertex {v!r} out of range for {g.n} vertices")
     if any(a == b for a, b in zip(xs, xs[1:])):
         raise ValueError("duplicate vertex in selection")
     pos = {v: 1 << i for i, v in enumerate(xs)}

@@ -23,8 +23,6 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable
 
 from .coloring import color_bit
@@ -44,7 +42,6 @@ _HARD_LIMIT = 128
 _SPLIT_DEPTH = 6
 
 _OTHERS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-_SWAP_2_3 = str.maketrans("23", "32")
 
 
 class ResourceLimitError(RuntimeError):
@@ -142,11 +139,7 @@ class EnumerationResult:
 
     @property
     def max_length(self) -> int:
-        best = 0
-        for i, c in enumerate(self.counts):
-            if c:
-                best = i + 1
-        return best
+        return max((i + 1 for i, c in enumerate(self.counts) if c), default=0)
 
     def count_at(self, k: int) -> int:
         if type(k) is not int or not 1 <= k <= len(self.counts):
@@ -180,13 +173,18 @@ class _Engine:
     the new vertex can have.  This holds for any pattern and any mix of
     patterns, and drops only candidates that really hold a copy, so the
     counts and the emitted lines are those of a search of every subset.
+    Each accept of length k >= 2 also stands for its 2<->3 twin: ``counts``
+    include the twins, and ``lines[k - 1]`` holds the final text of both.
     """
+
+    _SWAP_2_3 = str.maketrans("23", "32")
 
     def __init__(self, searches, max_n, collect, stop_depth):
         self.searches = searches
         self.max_n = max_n
         self.counts = [0] * max_n
-        self.lines: list[tuple[int, str, str]] | None = [] if collect else None
+        self.collect = collect
+        self.lines: list[list[str]] = [[] for _ in range(max_n)]
         self.stop_depth = stop_depth
         self.tasks: list[tuple] = []  # (colors, adjacency rows)
         # witnesses[j]: the witnesses (m, r) whose m has highest vertex j.
@@ -195,16 +193,17 @@ class _Engine:
     def run_root(self):
         if self.max_n and not any(s.through([0], 1, 0) for s in self.searches):
             self.counts[0] += 1
-            if self.lines is not None:
-                self._emit([1], [0])
+            if self.collect:
+                self.lines[0].append("1 1 -\n")
             self._extend([1], [0])
 
     def _emit(self, colors, rows):
+        k = len(colors)
         cs = "".join(map(str, colors))
         es = ",".join(
             f"{i + 1}-{j + 1}" for i, row in enumerate(rows) for j in bits(row & -(4 << i))
-        )
-        self.lines.append((len(colors), cs, es or "-"))
+        ) or "-"
+        self.lines[k - 1] += (f"{k} {cs} {es}\n", f"{k} {cs.translate(self._SWAP_2_3)} {es}\n")
 
     def _extend(self, colors, rows):
         k = len(colors)
@@ -218,7 +217,7 @@ class _Engine:
         witnesses = self.witnesses
         alive = (kbit << 1) - 1
         rows[k - 1] |= kbit
-        # c(v_2) = 3 is the 2<->3 mirror of c(v_2) = 2; the caller counts it.
+        # c(v_2) = 3 is the 2<->3 twin of c(v_2) = 2, counted with it.
         for alpha in (2,) if k == 1 else _OTHERS[colors[-1]]:
             adm = _chord_starts(colors, alpha)
             colors.append(alpha)
@@ -251,12 +250,12 @@ class _Engine:
                             witnesses[m.bit_length() - 1].append(w)
                             break
                     else:
-                        counts[k] += 1
+                        counts[k] += 2
                         if n >= _HARD_LIMIT:
                             raise ResourceLimitError(
                                 f"configurations reach length {n}; the search looks unbounded"
                             )
-                        if self.lines is not None:
+                        if self.collect:
                             self._emit(colors, rows)
                         self._extend(colors, rows)
                         witnesses[k].clear()
@@ -284,15 +283,15 @@ def enumerate_propagation_paths(
     """Count pattern-free configurations of every length up to ``max_n``.
 
     ``forbidden`` is a collection of patterns (graphs or names).  ``emit``,
-    if given, is a writable text sink or a file path; accepted
-    configurations are written one per line as
-    ``<length> <colors> <chords>`` in sorted order, one write per length.
+    if given, is a writable text sink or a file path, not a file
+    descriptor; accepted configurations are written one per line as
+    ``<length> <colors> <chords>``, sorted, one write per non-empty length.
     ``jobs`` farms subtrees out to worker processes; results do not depend
     on it.  The pool never exceeds the machine's core count — the work is
     CPU-bound, so extra processes beyond that only add scheduling overhead.
 
-    All input is taken before the search, in this order: ``max_n`` and
-    ``jobs`` are checked, every pattern is resolved, and an ``emit`` path
+    All input is taken before the search, in this order: ``max_n``, ``jobs``
+    and ``emit`` are checked, every pattern is resolved, and an ``emit`` path
     is opened, which creates or truncates it.  A bad argument leaves the
     file untouched, and a path that cannot be written fails at once.
     """
@@ -303,6 +302,8 @@ def enumerate_propagation_paths(
         raise ValueError(f"max_n is capped at {MAX_ENUM_LENGTH}, got {max_n}")
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    if isinstance(emit, int):
+        raise ValueError(f"emit must be a text sink or a file path, not {emit!r}")
     return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
 
 
@@ -336,12 +337,9 @@ def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
             for wcounts, wlines in results:
                 for i, c in enumerate(wcounts):
                     counts[i] += c
-                if collect:
-                    lines.extend(wlines)
-        counts[1:] = [2 * c for c in counts[1:]]
-        if collect:
-            lines += [(k, cs.translate(_SWAP_2_3), es) for k, cs, es in lines if k > 1]
-            lines.sort()
-            for k, group in groupby(lines, key=itemgetter(0)):
-                sink.write("".join(f"{k} {cs} {es}\n" for _, cs, es in group))
+                    lines[i] += wlines[i]
+        # Colors of one length are equally wide: the text sorts as (colors, chords).
+        for out in filter(None, lines):
+            out.sort()
+            sink.write("".join(out))
     return EnumerationResult(tuple(counts))

@@ -86,6 +86,9 @@ def test_induced_subgraph_examples():
         induced_subgraph(path_graph(3), [0, 5])
     with pytest.raises(ValueError):
         induced_subgraph(path_graph(3), [0, 0])
+    for xs in ([True, 2], [0.0, 2]):
+        with pytest.raises(ValueError):
+            induced_subgraph(path_graph(4), xs)
 
 
 @given(st.integers(0, 40), st.integers(0, 2**28))

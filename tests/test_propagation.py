@@ -295,14 +295,17 @@ def test_emit_writes_one_length_at_a_time():
         def write(self, text):
             self.writes.append(text)
 
-    sink = Recorder()
-    buf = io.StringIO()
-    r = enumerate_propagation_paths(["P6"], 8, emit=sink)
-    enumerate_propagation_paths(["P6"], 8, emit=buf)
-    assert "".join(sink.writes) == buf.getvalue()
-    assert len(sink.writes) == len(r.counts)
-    for text in sink.writes:
-        assert len({line.split()[0] for line in text.splitlines()}) == 1
+    # P3 leaves lengths 4 and 5 empty; an empty length gets no write.
+    for names, max_n, writes in ((["P6"], 8, 8), (["P3"], 5, 3)):
+        sink = Recorder()
+        buf = io.StringIO()
+        r = enumerate_propagation_paths(names, max_n, emit=sink)
+        enumerate_propagation_paths(names, max_n, emit=buf)
+        assert "".join(sink.writes) == buf.getvalue()
+        assert len(sink.writes) == writes == sum(map(bool, r.counts))
+        for text in sink.writes:
+            assert text and len({line.split()[0] for line in text.splitlines()}) == 1
+    assert r.counts == (1, 2, 2, 0, 0)
 
 
 def test_jobs_capped_at_core_count(monkeypatch):
@@ -346,11 +349,14 @@ def test_unwritable_emit_path_fails_before_search(search_calls, tmp_path):
 
 def test_bare_string_is_not_a_pattern_collection(tmp_path):
     out = tmp_path / "x.txt"
-    for call in (
-        lambda: enumerate_propagation_paths("P6", 5, emit=str(out)),
-        lambda: max_propagation_length("P6"),
+    for call, match in (
+        (lambda: enumerate_propagation_paths("P6", 5, emit=str(out)), "collection of patterns"),
+        (lambda: max_propagation_length("P6"), "collection of patterns"),
+        # open() would take an int as a file descriptor and close it after
+        # writing; the emit check comes before the patterns are resolved.
+        (lambda: enumerate_propagation_paths("P6", 5, emit=True), "text sink or a file path"),
     ):
-        with pytest.raises(ValueError, match="collection of patterns"):
+        with pytest.raises(ValueError, match=match):
             call()
     assert not out.exists()
 
