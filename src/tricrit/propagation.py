@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from contextlib import nullcontext
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Iterable
 
 from .coloring import color_bit
@@ -201,7 +203,7 @@ class _Engine:
         k = len(colors)
         cs = "".join(map(str, colors))
         es = ",".join(
-            f"{i + 1}-{j + 1}" for i, row in enumerate(rows) for j in bits(row & -(4 << i))
+            [_chord_text(i, row >> i + 2) for i, row in enumerate(rows) if row >> i + 2]
         ) or "-"
         self.lines[k - 1] += (f"{k} {cs} {es}\n", f"{k} {cs.translate(self._SWAP_2_3)} {es}\n")
 
@@ -266,6 +268,13 @@ class _Engine:
         rows[k - 1] &= ~kbit
 
 
+@lru_cache(maxsize=1024)
+def _chord_text(i, high):
+    """The chords (v_{i+1}, v_j) of row i in the stream's text, 1-based:
+    ``high`` is the row shifted right by i + 2, so its bit b is v_{i+b+3}."""
+    return ",".join(f"{i + 1}-{i + b + 3}" for b in bits(high))
+
+
 def _worker(searches, max_n, collect, task):
     """Counts and lines of the whole subtree below one task."""
     colors, rows = task
@@ -286,14 +295,19 @@ def enumerate_propagation_paths(
     if given, is a writable text sink or a file path, not a file
     descriptor; accepted configurations are written one per line as
     ``<length> <colors> <chords>``, sorted, one write per non-empty length.
+    Until the search ends the lines wait on disk, in one unnamed temporary
+    file per length in :func:`tempfile.gettempdir` (which honours
+    ``TMPDIR``), deleted when the call returns or raises; memory holds the
+    lines of one search task and, while it is sorted, of one length.
     ``jobs`` farms subtrees out to worker processes; results do not depend
     on it.  The pool never exceeds the machine's core count — the work is
     CPU-bound, so extra processes beyond that only add scheduling overhead.
 
     All input is taken before the search, in this order: ``max_n``, ``jobs``
-    and ``emit`` are checked, every pattern is resolved, and an ``emit`` path
-    is opened, which creates or truncates it.  A bad argument leaves the
-    file untouched, and a path that cannot be written fails at once.
+    and ``emit`` are checked, every pattern is resolved, the temporary files
+    of an ``emit`` are opened, and an ``emit`` path is opened, which creates
+    or truncates it.  A bad argument leaves the file untouched, and a path
+    or temporary directory that cannot be written fails at once.
     """
     # type() rather than isinstance(): a bool is an int.
     if type(max_n) is not int or max_n < 0:
@@ -320,26 +334,44 @@ def max_propagation_length(forbidden: Iterable) -> int:
 def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
     """The search behind both entry points: one driver down to length
     ``_SPLIT_DEPTH``, then its tasks through :func:`_worker`, in this
-    process for one job and on a process pool for more."""
+    process for one job and on a process pool for more.
+
+    The driver's result and each task's, in the order they arrive, are
+    folded in at once: the counts are added and the lines appended to one
+    unnamed temporary file per length, so memory holds one task's lines
+    and, at the end, one length's, which is sorted and written.
+    """
     if isinstance(forbidden, str):
         raise ValueError(f"expected a collection of patterns, got the string {forbidden!r}")
     searches = [PatternSearch(h) for h in forbidden]
     collect = emit is not None
-    with open(emit, "w") if collect and not hasattr(emit, "write") else nullcontext(emit) as sink:
+    counts = [0] * max_n
+    with ExitStack() as stack:
+        # newline="" keeps the text as written.
+        spills = [
+            stack.enter_context(tempfile.TemporaryFile("w+", newline="")) for _ in range(max_n)
+        ] if collect else []
+        if collect and not hasattr(emit, "write"):
+            emit = stack.enter_context(open(emit, "w"))
+        # Forked before any spill is written, so no worker holds a spill's
+        # unflushed buffer.
+        pool = None
+        if jobs > 1:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
         driver = _Engine(searches, max_n, collect, min(_SPLIT_DEPTH, max_n))
         driver.run_root()
-        counts, lines = driver.counts, driver.lines
         run = partial(_worker, searches, max_n, collect)
         tasks = driver.tasks
-        pool = multiprocessing.get_context("fork").Pool(jobs) if jobs > 1 else None
-        with pool or nullcontext():
-            results = pool.imap_unordered(run, tasks, chunksize=8) if pool else map(run, tasks)
-            for wcounts, wlines in results:
-                for i, c in enumerate(wcounts):
-                    counts[i] += c
-                    lines[i] += wlines[i]
+        results = pool.imap_unordered(run, tasks, chunksize=8) if pool else map(run, tasks)
+        for tcounts, tlines in chain([(driver.counts, driver.lines)], results):
+            for i, c in enumerate(tcounts):
+                counts[i] += c
+            for spill, lines in zip(spills, tlines):
+                spill.write("".join(lines))
+            del tlines  # before the next task runs in this process
         # Colors of one length are equally wide: the text sorts as (colors, chords).
-        for out in filter(None, lines):
-            out.sort()
-            sink.write("".join(out))
+        for spill, c in zip(spills, counts):
+            if c:
+                spill.seek(0)
+                emit.write("".join(sorted(spill)))
     return EnumerationResult(tuple(counts))

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,20 @@ def test_enumerate_unwritable_emit_fails_before_search(capsys, search_calls, tmp
     rc, out, err = run(capsys, "enumerate", "--forbidden", "P6", "--max-n", "25", "--emit", bad)
     assert rc == 2 and out == "" and search_calls == []
     assert err.startswith("error: ") and bad in err and err.count("\n") == 1
+
+
+def test_enumerate_unusable_temp_dir_fails_before_search(
+    capsys, monkeypatch, search_calls, tmp_path
+):
+    # --emit holds its lines in temporary files until each length is sorted.
+    missing = str(tmp_path / "missing")
+    monkeypatch.setattr(tempfile, "tempdir", missing)
+    out_file = tmp_path / "x.txt"
+    rc, out, err = run(
+        capsys, "enumerate", "--forbidden", "P6", "--max-n", "25", "--emit", str(out_file)
+    )
+    assert rc == 2 and out == "" and search_calls == [] and not out_file.exists()
+    assert err.startswith("error: ") and missing in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,16 @@ from __future__ import annotations
 import hashlib
 import io
 import multiprocessing
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from tricrit import propagation
-from tricrit.graphs import Graph, pattern_graph
+from tricrit.graphs import Graph, PatternSearch, pattern_graph
 from tricrit.propagation import (
     EnumerationResult,
     P6_REFERENCE_COUNTS,
@@ -345,6 +350,98 @@ def test_unwritable_emit_path_fails_before_search(search_calls, tmp_path):
     assert search_calls == []
     enumerate_propagation_paths(["P6"], 2, emit=str(tmp_path / "x.txt"))
     assert search_calls
+
+
+def test_unusable_temp_dir_fails_before_search(search_calls, monkeypatch, tmp_path):
+    # The emitted lines wait in temporary files, which are opened before
+    # the search and before an emit path is touched.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    out = tmp_path / "x.txt"
+    for emit in (io.StringIO(), str(out)):
+        with pytest.raises(OSError):
+            enumerate_propagation_paths(["P6"], 25, emit=emit)
+    assert search_calls == [] and not out.exists()
+    assert enumerate_propagation_paths(["P6"], 5).counts == P6_REFERENCE_COUNTS[:5]
+
+
+def test_no_spill_outlives_the_call(monkeypatch, tmp_path):
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    opened = []
+    temporary_file = tempfile.TemporaryFile
+
+    def record(*args, **kwargs):
+        opened.append(temporary_file(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", record)
+    monkeypatch.setattr("tricrit.propagation.os.cpu_count", lambda: 3)
+    out = tmp_path / "stream.txt"
+
+    def check(spills):
+        assert len(opened) == spills and all(f.closed for f in opened)
+        assert list(spill_dir.iterdir()) == []
+        opened.clear()
+
+    for jobs in (1, 3):
+        r = enumerate_propagation_paths(["P6"], 9, emit=str(out), jobs=jobs)
+        assert r.counts == P6_REFERENCE_COUNTS[:9]
+        assert out.read_text().count("\n") == r.total
+        check(9)
+    enumerate_propagation_paths(["P6"], 9, jobs=3)
+    max_propagation_length(["P5"])
+    check(0)
+
+    # The driver makes 242 searches, so the search fails inside a task,
+    # after lines have been spilled.
+    calls = []
+    through = PatternSearch.through
+
+    def fail_late(*args):
+        calls.append(args)
+        if len(calls) > 1000:
+            raise RuntimeError("search failed")
+        return through(*args)
+
+    monkeypatch.setattr(PatternSearch, "through", fail_late)
+    with pytest.raises(RuntimeError, match="search failed"):
+        enumerate_propagation_paths(["P6"], 9, emit=str(out))
+    assert out.read_text() == ""
+    check(9)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_emit_memory_stops_growing_past_the_largest_length(tmp_path):
+    # Length 11 is the largest of the P6 stream.  Emitting up to length 13
+    # after emitting up to 11 adds lengths 12 and 13, 0.84 MB of text, to
+    # the stream, and nothing to its largest length; held in memory as
+    # lines they would add more than their size to the peak.  VmHWM, the
+    # peak resident size, starts afresh in the new program; ru_maxrss
+    # would keep the forking test process's.
+    out = tmp_path / "stream.txt"
+    script = (
+        "import os, sys\n"
+        "from tricrit.propagation import enumerate_propagation_paths\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(x.split()[1]) * 1024 for x in f if x.startswith('VmHWM:'))\n"
+        "out = sys.argv[1]\n"
+        "enumerate_propagation_paths(['P6'], 11, emit=out)\n"
+        "size, before = os.path.getsize(out), peak()\n"
+        "enumerate_propagation_paths(['P6'], 13, emit=out)\n"
+        "print(os.path.getsize(out) - size, peak() - before)\n"
+    )
+    src = str(Path(propagation.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=60, check=True,
+    )
+    added_bytes, added_peak = map(int, proc.stdout.split())
+    assert added_bytes > 800_000
+    assert added_peak < added_bytes, (added_peak, added_bytes)
 
 
 def test_bare_string_is_not_a_pattern_collection(tmp_path):
