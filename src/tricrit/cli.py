@@ -22,20 +22,16 @@ from .obstructions import is_4_vertex_critical, obstruction_report
 from .propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_graph(path: str) -> Graph:
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read graph file {path}: {exc}")
+        raise ValueError(f"cannot read graph file {path}: {exc}")
     try:
         return parse_graph6(text.strip())
     except Graph6Error as exc:
-        raise _UsageError(f"bad graph6 in {path}: {exc}")
+        raise ValueError(f"bad graph6 in {path}: {exc}")
 
 
 def _load_lists(path: str, n: int) -> ListSystem:
@@ -43,15 +39,15 @@ def _load_lists(path: str, n: int) -> ListSystem:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read list file {path}: {exc}")
+        raise ValueError(f"cannot read list file {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"bad JSON in {path}: {exc}")
+        raise ValueError(f"bad JSON in {path}: {exc}")
     try:
         lists = lists_from_json(obj)
     except ValueError as exc:
-        raise _UsageError(f"bad list system in {path}: {exc}")
+        raise ValueError(f"bad list system in {path}: {exc}")
     if lists.n != n:
-        raise _UsageError(f"list system in {path} has {lists.n} entries, graph has {n}")
+        raise ValueError(f"list system in {path} has {lists.n} entries, graph has {n}")
     return lists
 
 
@@ -116,7 +112,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     if args.name not in ("Gr", "Hr"):
-        raise _UsageError(f"--name must be Gr or Hr, got {args.name!r}")
+        raise ValueError(f"--name must be Gr or Hr, got {args.name!r}")
     if args.verify:
         report = (verify_Gr if args.name == "Gr" else verify_Hr)(args.r)
         _print(args, report.to_json_dict(), [
@@ -143,7 +139,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         try:
             target = parse_graph6(text)
         except Graph6Error:
-            raise _UsageError(
+            raise ValueError(
                 f"{text!r} is neither a recognized pattern name nor valid graph6"
             )
     verdict = classify(target)
@@ -214,7 +210,7 @@ def main(argv=None) -> int:
         # Point stdout at the null device so the flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # BrokenPipeError is an OSError, so it is caught above first.
         print(f"error: {exc}", file=sys.stderr)
         return 2

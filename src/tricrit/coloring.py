@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits
+from .graphs import MAX_VERTICES, Graph, bits, check_int
 
 PALETTE = (1, 2, 3)
 FULL_MASK = 0b111
@@ -21,9 +21,7 @@ FULL_MASK = 0b111
 
 def color_bit(c: int) -> int:
     """The mask bit of color ``c``; a one-color mask's color is its bit_length()."""
-    if type(c) is not int or c not in PALETTE:
-        raise ValueError(f"color must be 1, 2 or 3, got {c}")
-    return 1 << c - 1
+    return 1 << check_int(c, 1, 3, "color") - 1
 
 
 def mask_colors(mask: int) -> tuple[int, ...]:
@@ -36,16 +34,12 @@ class ListSystem:
     __slots__ = ("masks",)
 
     def __init__(self, masks: Iterable[int]):
-        ms = tuple(masks)
-        for v, m in enumerate(ms):
-            # type() rather than isinstance(): a bool is an int.
-            if type(m) is not int or not 0 <= m <= FULL_MASK:
-                raise ValueError(f"list mask {m} at vertex {v} is not a 3-bit mask")
-        self.masks = ms
+        self.masks = tuple(check_int(m, 0, FULL_MASK, f"list mask of vertex {v}")
+                           for v, m in enumerate(masks))
 
     @classmethod
     def full(cls, n: int) -> "ListSystem":
-        return cls([FULL_MASK] * n)
+        return cls([FULL_MASK] * check_int(n, 0, MAX_VERTICES, "vertex count"))
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]]) -> "ListSystem":
@@ -65,10 +59,10 @@ class ListSystem:
         return len(self.masks)
 
     def size(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return self.masks[check_int(v, 0, self.n - 1, "vertex")].bit_count()
 
     def colors(self, v: int) -> tuple[int, ...]:
-        return mask_colors(self.masks[v])
+        return mask_colors(self.masks[check_int(v, 0, self.n - 1, "vertex")])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ListSystem) and self.masks == other.masks
@@ -89,12 +83,12 @@ def lists_from_json(obj) -> ListSystem:
         raise ValueError('list-system JSON must be {"n": ..., "lists": [...]}')
     n = obj["n"]
     lists = obj["lists"]
-    # type() rather than isinstance(): JSON true is a bool, which is an int.
-    if type(n) is not int or not isinstance(lists, list) or len(lists) != n:
+    check_int(n, 0, MAX_VERTICES, "n")
+    if not isinstance(lists, list) or len(lists) != n:
         raise ValueError(f"list-system JSON needs exactly n={n} lists")
     for v, cs in enumerate(lists):
-        if not isinstance(cs, list) or any(type(c) is not int for c in cs):
-            raise ValueError(f"the list of vertex {v} must be a list of integers, got {cs!r}")
+        if not isinstance(cs, list):
+            raise ValueError(f"the list of vertex {v} must be a list of colors, got {cs!r}")
     return ListSystem.from_sets(lists)
 
 
@@ -102,8 +96,7 @@ def _check_dims(g: Graph, l: ListSystem, *vertices: int):
     if l.n != g.n:
         raise ValueError(f"list system has {l.n} entries for a {g.n}-vertex graph")
     for v in vertices:
-        if type(v) is not int or not 0 <= v < g.n:
-            raise ValueError(f"vertex {v!r} out of range")
+        check_int(v, 0, g.n - 1, "vertex")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import PALETTE, ListSystem, _propagate, update_along_path
-from .graphs import MAX_VERTICES, Graph, _search, bits, find_induced_embedding, pattern_graph
+from .graphs import (
+    MAX_VERTICES, Graph, _search, bits, check_int, find_induced_embedding, pattern_graph,
+)
 from .obstructions import is_4_vertex_critical, is_minimal_obstruction
 
 
@@ -63,11 +65,7 @@ def gen_Gr(r: int) -> Graph:
     i < j the edge rule reads off j - i alone.  The degree r + 2 is
     asserted as a self-check.
     """
-    if type(r) is not int or r < 1:
-        raise ValueError(f"family parameter must be an integer of at least 1, got {r!r}")
-    n = 3 * r + 1
-    if n > MAX_VERTICES:
-        raise ValueError(f"3r+1 = {n} exceeds the supported maximum of {MAX_VERTICES} vertices")
+    n = 3 * check_int(r, 1, (MAX_VERTICES - 1) // 3, "family parameter r") + 1
     g = Graph(n, [
         (i, j) for i in range(n) for j in range(i + 1, n)
         if j - i in (1, n - 1) or (j - i) % 3 == 2
@@ -124,11 +122,7 @@ def gen_Hr(r: int) -> tuple[Graph, ListSystem]:
     j = 1 mod 3.  Both endpoints get list {1}; an interior position p gets
     {2,3}, {1,3} or {1,2} according to p mod 3 being 0, 1 or 2.
     """
-    if type(r) is not int or r < 1:
-        raise ValueError(f"family parameter must be an integer of at least 1, got {r!r}")
-    n = 3 * r - 1
-    if n > MAX_VERTICES:
-        raise ValueError(f"3r-1 = {n} exceeds the supported maximum of {MAX_VERTICES} vertices")
+    n = 3 * check_int(r, 1, (MAX_VERTICES + 1) // 3, "family parameter r") - 1
     g = Graph(n, [
         (a - 1, b - 1) for a in range(1, n + 1) for b in range(a + 1, n + 1)
         if b == a + 1 or (a % 3 == 2 and b % 3 == 1)

@@ -23,15 +23,28 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def check_int(value, lo: int, hi: int | None = None, what: str = "value") -> int:
+    """``value`` if it is an integer in lo..hi (no upper bound if ``hi`` is
+    None), else ValueError naming it.
+
+    The one rule for every integer argument: type() rather than isinstance(),
+    because a bool is an int and True would pass as 1, and a float such as
+    2.0 is refused even where it equals an integer in range.
+    """
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        want = (f"an integer in {lo}..{hi}" if hi is not None
+                else "a positive integer" if lo == 1 else f"an integer of at least {lo}")
+        raise ValueError(f"{what} must be {want}: {value!r} is out of range")
+    return value
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with bitset adjacency rows."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        # type() rather than isinstance(): a bool is an int.
-        if type(n) is not int or not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be an integer in 0..{MAX_VERTICES}, got {n!r}")
+        check_int(n, 0, MAX_VERTICES, "vertex count")
         rows = [0] * n
         for u, v in edges:
             if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
@@ -45,10 +58,8 @@ class Graph:
 
     @classmethod
     def from_rows(cls, rows: Sequence[int]) -> "Graph":
-        n = len(rows)
+        n = check_int(len(rows), 0, MAX_VERTICES, "vertex count")
         g = cls.__new__(cls)
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
             if type(row) is not int or row & ~full:
@@ -64,13 +75,14 @@ class Graph:
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = (check_int(x, 0, self.n - 1, "vertex") for x in (u, v))
         return bool(self.rows[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.rows[check_int(v, 0, self.n - 1, "vertex")].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return bits(self.rows[v])
+        return bits(self.rows[check_int(v, 0, self.n - 1, "vertex")])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, u) for v in range(self.n) for u in bits(self.rows[v] >> (v + 1) << (v + 1))]
@@ -103,12 +115,12 @@ def bits(mask: int) -> list[int]:
 
 
 def path_graph(t: int) -> Graph:
+    check_int(t, 0, MAX_VERTICES, "path length")
     return Graph(t, [(i, i + 1) for i in range(t - 1)])
 
 
 def cycle_graph(t: int) -> Graph:
-    if t < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {t}")
+    check_int(t, 3, MAX_VERTICES, "cycle length")
     return Graph(t, [(i, (i + 1) % t) for i in range(t)])
 
 
@@ -186,8 +198,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """
     xs = sorted(vertices)
     for v in xs:
-        if type(v) is not int or not 0 <= v < g.n:
-            raise ValueError(f"vertex {v!r} out of range for {g.n} vertices")
+        check_int(v, 0, g.n - 1, "vertex")
     if any(a == b for a, b in zip(xs, xs[1:])):
         raise ValueError("duplicate vertex in selection")
     pos = {v: 1 << i for i, v in enumerate(xs)}
@@ -379,9 +390,7 @@ def _as_path_length(h: Graph) -> int | None:
 
 def has_induced_path(g: Graph, t: int) -> bool:
     """Does ``g`` contain an induced path on ``t`` vertices?"""
-    # type() rather than isinstance(): a bool is an int.
-    if type(t) is not int or t < 1:
-        raise ValueError(f"path length must be a positive integer, got {t!r}")
+    check_int(t, 1, what="path length")
     return t <= g.n and contains_induced(g, path_graph(t))
 
 

@@ -28,7 +28,7 @@ from itertools import chain
 from typing import Iterable
 
 from .coloring import color_bit
-from .graphs import Graph, PatternSearch, bits
+from .graphs import Graph, PatternSearch, bits, check_int
 
 # Reference counts for the enumeration with P6 forbidden, lengths 1..25.
 # The CLI checks its own output against this vector.
@@ -75,9 +75,7 @@ class PropConfig:
         return len(self.colors)
 
     def color(self, i: int) -> int:
-        if type(i) is not int or not 1 <= i <= self.k:
-            raise ValueError(f"vertex index {i!r} out of range 1..{self.k}")
-        return self.colors[i - 1]
+        return self.colors[check_int(i, 1, self.k, "vertex index") - 1]
 
     def graph(self) -> Graph:
         edges = [(i, i + 1) for i in range(self.k - 1)]
@@ -87,10 +85,7 @@ class PropConfig:
 
 def shape(cfg: PropConfig, i: int) -> tuple[int, int]:
     """The pair (c(v_i), c(v_{i-1})); undefined at the path start."""
-    if i == 1:
-        raise ValueError("shape is undefined at the first path vertex")
-    if type(i) is not int or not 2 <= i <= cfg.k:
-        raise ValueError(f"vertex index {i!r} out of range 2..{cfg.k}")
+    check_int(i, 2, cfg.k, "vertex index")
     return (cfg.colors[i - 1], cfg.colors[i - 2])
 
 
@@ -117,7 +112,6 @@ def admissible_edge(cfg: PropConfig, i: int, j: int) -> bool:
 def _check_chord(i: int, j: int, k: int) -> None:
     """Raise ValueError unless (v_i, v_j) is a chord of a path on k vertices:
     integers with 1 <= i < j - 1 and j <= k."""
-    # type() rather than isinstance(): a bool is an int.
     if type(i) is not int or type(j) is not int or not 1 <= i < j - 1 < k:
         raise ValueError(f"chord ({i!r}, {j!r}) is not a valid non-consecutive pair for k={k}")
 
@@ -144,9 +138,7 @@ class EnumerationResult:
         return max((i + 1 for i, c in enumerate(self.counts) if c), default=0)
 
     def count_at(self, k: int) -> int:
-        if type(k) is not int or not 1 <= k <= len(self.counts):
-            raise ValueError(f"length {k!r} outside the enumerated range 1..{len(self.counts)}")
-        return self.counts[k - 1]
+        return self.counts[check_int(k, 1, len(self.counts), "length") - 1]
 
     @property
     def total(self) -> int:
@@ -309,13 +301,8 @@ def enumerate_propagation_paths(
     or truncates it.  A bad argument leaves the file untouched, and a path
     or temporary directory that cannot be written fails at once.
     """
-    # type() rather than isinstance(): a bool is an int.
-    if type(max_n) is not int or max_n < 0:
-        raise ValueError(f"max_n must be a non-negative integer, got {max_n!r}")
-    if max_n > MAX_ENUM_LENGTH:
-        raise ValueError(f"max_n is capped at {MAX_ENUM_LENGTH}, got {max_n}")
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    check_int(max_n, 0, MAX_ENUM_LENGTH, "max_n")
+    check_int(jobs, 1, what="jobs")
     if isinstance(emit, int):
         raise ValueError(f"emit must be a text sink or a file path, not {emit!r}")
     return _enumerate(forbidden, max_n, emit, min(jobs, os.cpu_count() or 1))
