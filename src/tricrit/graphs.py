@@ -196,9 +196,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
     Duplicate, non-integer and out-of-range vertices are rejected.
     """
-    xs = sorted(vertices)
-    for v in xs:
-        check_int(v, 0, g.n - 1, "vertex")
+    xs = sorted(check_int(v, 0, g.n - 1, "vertex") for v in vertices)
     if any(a == b for a, b in zip(xs, xs[1:])):
         raise ValueError("duplicate vertex in selection")
     pos = {v: 1 << i for i, v in enumerate(xs)}

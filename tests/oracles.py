@@ -196,29 +196,16 @@ def automorphism_orbits_brute(h: Graph) -> list[list[int]]:
 # canonical forms
 
 
-def canonical_form(g: Graph, vertex_classes: Sequence[int] | None = None) -> bytes:
-    """A canonical byte string for ``g`` with optional vertex classes.
+def canonical_form(g: Graph) -> bytes:
+    """A canonical byte string for ``g``.
 
-    Two graphs get the same string exactly when some isomorphism between
-    them preserves the given classes.  Classes default to all-zero.  The
+    Two graphs get the same string exactly when they are isomorphic.  The
     string is produced by equitable refinement plus individualization,
     taking the lexicographically smallest discrete encoding.
     """
-    n = g.n
-    if vertex_classes is None:
-        classes: tuple[int, ...] = (0,) * n
-    else:
-        classes = tuple(vertex_classes)
-        if len(classes) != n:
-            raise ValueError("vertex_classes length must match vertex count")
-        if any(not 0 <= c <= 255 for c in classes):
-            raise ValueError("vertex classes must be small non-negative integers")
-    if n == 0:
+    if g.n == 0:
         return bytes([0])
-    cells: list[tuple[int, ...]] = []
-    for value in sorted(set(classes)):
-        cells.append(tuple(v for v in range(n) if classes[v] == value))
-    return _canon_search(g.rows, cells, classes, n)
+    return _canon_search(g.rows, [tuple(range(g.n))], g.n)
 
 
 def _refine(rows: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -250,24 +237,29 @@ def _refine(rows: Sequence[int], cells: list[tuple[int, ...]]) -> list[tuple[int
             return cells
 
 
-def _canon_search(rows, cells, classes, n) -> bytes:
+def _canon_search(rows, cells, n) -> bytes:
     cells = _refine(rows, cells)
     for idx, cell in enumerate(cells):
         if len(cell) > 1:
-            best = None
+            # Swapping two twins is an automorphism that fixes the partition,
+            # so one vertex of each set of twins stands for the whole set.
+            reps: list[int] = []
             for v in cell:
+                if not any(rows[u] & ~(1 << v) == rows[v] & ~(1 << u) for u in reps):
+                    reps.append(v)
+            best = None
+            for v in reps:
                 child = cells[:idx] + [(v,), tuple(u for u in cell if u != v)] + cells[idx + 1:]
-                cand = _canon_search(rows, child, classes, n)
+                cand = _canon_search(rows, child, n)
                 if best is None or cand < best:
                     best = cand
             return best
     order = [cell[0] for cell in cells]
-    return _encode_labeled(rows, order, classes, n)
+    return _encode_labeled(rows, order, n)
 
 
-def _encode_labeled(rows, order, classes, n) -> bytes:
+def _encode_labeled(rows, order, n) -> bytes:
     out = bytearray([n])
-    out.extend(classes[v] for v in order)
     acc = 0
     nbits = 0
     for i in range(n):
@@ -568,67 +560,3 @@ def extract_minimal_restart(g: Graph, lists: ListSystem) -> tuple[int, ...]:
                 changed = True
                 break
     return tuple(alive)
-
-
-def instance_propagation_lambda(g: Graph, lists: ListSystem) -> int:
-    """Longest propagation path of an instance, by checking every simple path.
-
-    A path v1..vk (not necessarily induced) qualifies when v1's list is
-    non-empty, every later list has exactly two colors, coloring v1 with
-    some color of its list and updating along the path colors every path
-    vertex, and every graph edge between path positions i < j with i >= 3
-    and j >= i+2 (positions 1-based) joins a vertex of shape (alpha, b) to
-    one of shape (b, c), alpha being the start color and {alpha, b, c} the
-    whole palette.
-    """
-    best = 0
-    n = g.n
-
-    def path_ok(seq) -> bool:
-        v1 = seq[0]
-        if lists.size(v1) < 1:
-            return False
-        if any(lists.size(v) != 2 for v in seq[1:]):
-            return False
-        for alpha in lists.colors(v1):
-            color = {v1: alpha}
-            total = True
-            for prev, cur in zip(seq, seq[1:]):
-                remaining = [c for c in lists.colors(cur) if c != color[prev]]
-                if len(remaining) != 1:
-                    total = False
-                    break
-                color[cur] = remaining[0]
-            if not total:
-                continue
-            ok = True
-            for ii in range(2, len(seq)):
-                for jj in range(ii + 2, len(seq)):
-                    u, w = seq[ii], seq[jj]
-                    if not g.has_edge(u, w):
-                        continue
-                    su = (color[u], next(c for c in lists.colors(u) if c != color[u]))
-                    sw = (color[w], next(c for c in lists.colors(w) if c != color[w]))
-                    third = ({1, 2, 3} - {alpha, su[1]}).pop()
-                    if su[0] != alpha or sw != (su[1], third):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return True
-        return False
-
-    def extend(seq):
-        nonlocal best
-        if path_ok(seq):
-            best = max(best, len(seq))
-        for w in range(n):
-            if w not in seq and g.has_edge(seq[-1], w):
-                seq.append(w)
-                extend(seq)
-                seq.pop()
-
-    for v in range(n):
-        extend([v])
-    return best

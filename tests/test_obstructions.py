@@ -10,6 +10,7 @@ from tricrit.coloring import FULL_MASK, ListSystem, _l_colorable, l_colorable
 from tricrit.families import gen_Gr, gen_Hr
 from tricrit.graphs import (
     Graph,
+    components,
     cycle_graph,
     disjoint_union,
     induced_subgraph,
@@ -34,7 +35,6 @@ from oracles import (
     dominates,
     extract_minimal_restart,
     graphs_on,
-    instance_propagation_lambda,
     random_graph,
     random_lists,
     relabel,
@@ -363,53 +363,27 @@ def test_family_members_pass_the_sanity_battery():
 
 
 # ---------------------------------------------------------------------------
-# size bound for small-list minimal obstructions
+# every small-list instance on a connected graph of up to 4 vertices
 
 
-SMALL_LIST_MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110)
-
-
-def _connected_graphs(n):
-    from tricrit.graphs import components
-
-    return [g for g in graphs_on(n) if len(components(g)) <= 1]
-
-
-def _check_size_bound(g, l):
-    lam = instance_propagation_lambda(g, l)
-    # simple paths cannot outrun the vertex count
-    assert lam <= g.n
-    if lam >= 20:
-        assert g.n <= 4 * lam + 4
-
-
-def test_size_bound_gate_small_lists_exhaustive():
-    # every minimal obstruction with lists of size <= 2 on a connected graph
-    # of up to 4 vertices; the bound's hypothesis needs a path of 20 or more
-    # vertices, so at these orders the gate never opens, and the check
-    # documents that it cannot
-    found = 0
+def test_small_list_instances_exhaustive():
+    # Every connected graph on 1..4 vertices with every list of at most two
+    # colors (masks 0..6), the empty list included; criticality and
+    # minimality against exhaustive search.
+    instances = obstructions = minimal = 0
     for n in range(1, 5):
-        for g in _connected_graphs(n):
-            for masks in itertools.product(SMALL_LIST_MASKS, repeat=n):
+        for g in graphs_on(n):
+            if len(components(g)) > 1:
+                continue
+            for masks in itertools.product(range(7), repeat=n):
                 l = ListSystem(masks)
-                if is_minimal_obstruction(g, l):
-                    found += 1
-                    _check_size_bound(g, l)
-    assert found > 0
-
-
-def test_size_bound_gate_sampled():
-    rng = random.Random(2024)
-    found = 0
-    while found < 25:
-        n = rng.choice([5, 6])
-        g = random_graph(rng, n, 0.55)
-        masks = [rng.choice(SMALL_LIST_MASKS[1:]) for _ in range(n)]
-        l = ListSystem(masks)
-        if brute_l_colorable(g, l) is not None:
-            continue
-        verts, core, core_l = extract_minimal(g, l)
-        if max(core_l.size(v) for v in range(core.n)) <= 2:
-            found += 1
-            _check_size_bound(core, core_l)
+                instances += 1
+                if brute_l_colorable(g, l) is not None:
+                    assert not is_minimal_obstruction(g, l), (g.edges(), masks)
+                    continue
+                obstructions += 1
+                crit = critical_vertices_brute(g, l)
+                assert critical_vertices(g, l) == crit, (g.edges(), masks)
+                assert is_minimal_obstruction(g, l) == (len(crit) == n), (g.edges(), masks)
+                minimal += len(crit) == n
+    assert (instances, obstructions, minimal) == (15_148, 11_011, 481)

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from tricrit import propagation
-from tricrit.graphs import Graph, PatternSearch, pattern_graph
+from tricrit.coloring import ListSystem
+from tricrit.families import gen_Hr
+from tricrit.graphs import Graph, PatternSearch, induced_subgraph, pattern_graph
 from tricrit.propagation import (
     EnumerationResult,
     P6_REFERENCE_COUNTS,
@@ -112,6 +114,27 @@ def test_admissible_edge_matches_independent_restatement():
             for j in range(3, k + 1):
                 for i in range(1, j - 1):
                     assert admissible_edge(cfg, i, j) == chord_ok(cs, i, j), (cs, i, j)
+
+
+def test_hr_prefix_is_an_admissible_configuration():
+    # The first 3r-2 vertices of Hr(r), colored 1, 2, 3, 1, 2, 3, ..., are a
+    # configuration under the enumerator's chord rule, whose implied lists
+    # are Hr's own; for r = 2, 3 the search emits it.
+    for r in range(2, 9):
+        k = 3 * r - 2
+        colors = tuple((p - 1) % 3 + 1 for p in range(1, k + 1))
+        chords = [(i, j) for i in range(2, k + 1, 3) for j in range(i + 2, k + 1, 3)]
+        cfg = PropConfig(colors, frozenset(chords))
+        assert all(admissible_edge(cfg, i, j) for i, j in chords), r
+        g, lists = gen_Hr(r)
+        assert cfg.graph() == induced_subgraph(g, range(k)), r
+        implied = ListSystem.from_sets([(1,)] + [shape(cfg, p) for p in range(2, k + 1)])
+        assert implied.masks == lists.masks[:k], r
+        if r <= 3:
+            buf = io.StringIO()
+            enumerate_propagation_paths(["2P3"], k, emit=buf)
+            line = f"{k} {''.join(map(str, colors))} {','.join(f'{i}-{j}' for i, j in chords)}"
+            assert line in buf.getvalue().split("\n"), line
 
 
 def test_enumeration_result_accessors():
