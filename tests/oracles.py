@@ -3,14 +3,13 @@
 Everything here is deliberately naive: exhaustive products over colorings,
 permutation backtracking for isomorphism, subset enumeration for induced
 containment, and a from-scratch filter for propagation configurations.
-The canonical-form search that builds the graph census, the round-based
-updating rules and domination live here too, since only the tests use
-them.  None of it shares code with the paths it is used to check.
+The canonical-form search that builds the graph census, unit propagation
+one vertex at a time and domination live here too, since only the tests
+use them.  None of it shares code with the paths it is used to check.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
@@ -45,6 +44,12 @@ def critical_vertices_brute(g: Graph, lists: ListSystem) -> list[int]:
         if brute_l_colorable(sub, ListSystem(lists.masks[u] for u in keep)) is not None:
             out.append(v)
     return out
+
+
+def is_4_vertex_critical_brute(g: Graph) -> bool:
+    """Not 3-colorable, while every vertex-deleted subgraph is."""
+    full = ListSystem.full(g.n)
+    return brute_l_colorable(g, full) is None and len(critical_vertices_brute(g, full)) == g.n
 
 
 def l_colorable_reference(g: Graph, l: ListSystem) -> tuple[int, ...] | None:
@@ -315,84 +320,26 @@ def random_lists(rng: random.Random, n: int, allow_empty: bool = False) -> ListS
 
 
 # ---------------------------------------------------------------------------
-# round-based updating, written out step by step
+# unit propagation, one vertex at a time
 
 
-@dataclass(frozen=True)
-class UpdateOutcome:
-    """Full result of the round-based update: lists, forced set, conflict flag."""
-
-    lists: ListSystem
-    fixed: frozenset[int]
-    conflict: bool
-    rounds: int
-
-
-def update_wrt_set_reference(g: Graph, l: ListSystem, x, rounds) -> UpdateOutcome:
-    """Simultaneous update rounds against the forced set ``x``, one step at a time.
-
-    Each round copies the previous lists and forced set, removes from every
-    unforced vertex the colors of its one-color forced neighbors, forces the
-    vertices whose list first drops to at most one color, and on an empty
-    list or two adjacent forced vertices with the same one-color list
-    empties every list outside the forced set.  A round that changes
-    nothing ends the run and is not counted.  Inputs are assumed valid.
-    """
-    n = g.n
-    grows = g.rows
+def propagate_reference(g: Graph, l: ListSystem) -> tuple[ListSystem, frozenset[int]] | None:
+    """Each one-color vertex in turn deletes its color from its neighbors'
+    lists, until no list changes.  Returns the lists and the set of
+    one-color vertices, or None once a list is empty."""
     masks = list(l.masks)
-    in_x = 0
-    for v in x:
-        in_x |= 1 << v
-    conflict = False
-    done = 0
-    while rounds == "exhaustive" or done < rounds:
-        done += 1
-        prev_masks = masks[:]
-        prev_x = in_x
-        for v in range(n):
-            if prev_x >> v & 1:
-                continue
-            removal = 0
-            m = grows[v] & prev_x
-            while m:
-                b = m & -m
-                m ^= b
-                mu = prev_masks[b.bit_length() - 1]
-                if mu.bit_count() == 1:
-                    removal |= mu
-            masks[v] = prev_masks[v] & ~removal
-        new_x = prev_x
-        for v in range(n):
-            if not prev_x >> v & 1 and masks[v].bit_count() <= 1 and prev_masks[v].bit_count() > 1:
-                new_x |= 1 << v
-        trigger = any(masks[v] == 0 for v in range(n))
-        if not trigger:
-            m = prev_x
-            while m and not trigger:
-                b = m & -m
-                m ^= b
-                u = b.bit_length() - 1
-                if masks[u].bit_count() != 1:
-                    continue
-                nb = grows[u] & prev_x & ~((1 << (u + 1)) - 1)
-                while nb:
-                    bb = nb & -nb
-                    nb ^= bb
-                    if masks[bb.bit_length() - 1] == masks[u]:
-                        trigger = True
-                        break
-        if trigger:
-            conflict = True
-            for v in range(n):
-                if not new_x >> v & 1:
-                    masks[v] = 0
-        in_x = new_x
-        if in_x == prev_x and masks == prev_masks:
-            done -= 1
-            break
-    fixed = frozenset(v for v in range(n) if in_x >> v & 1)
-    return UpdateOutcome(ListSystem(masks), fixed, conflict, done)
+    changed = True
+    while changed:
+        if 0 in masks:
+            return None
+        changed = False
+        for v in range(g.n):
+            if masks[v].bit_count() == 1:
+                for u in g.neighbors(v):
+                    if masks[u] & masks[v]:
+                        masks[u] &= ~masks[v]
+                        changed = True
+    return ListSystem(masks), frozenset(v for v in range(g.n) if masks[v].bit_count() == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +401,6 @@ def brute_configs(forbidden_graphs: list[Graph], k: int) -> list[tuple[tuple[int
             if not any(contains_induced_brute(g, h) for h in forbidden_graphs):
                 out.append((cs, chosen))
     return out
-
-
-def brute_count_configs(forbidden_graphs: list[Graph], k: int) -> int:
-    """Count admissible pattern-free configurations of length exactly k."""
-    return len(brute_configs(forbidden_graphs, k))
 
 
 def dfs_stream_uncached(forbidden_graphs: list[Graph], max_n: int) -> str:

@@ -5,6 +5,7 @@ the gate's verdicts are visible even when capture is on.
 """
 from __future__ import annotations
 
+import io
 import random
 import time
 
@@ -26,13 +27,13 @@ from tricrit.propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
 from oracles import (
     assert_minimal_obstruction_sane,
-    brute_count_configs,
+    brute_configs,
     brute_l_colorable,
     complete_graph,
     contains_induced_brute,
     contains_induced_through_brute,
-    graphs_on,
     graphs_upto,
+    is_4_vertex_critical_brute,
     is_witness_brute,
     random_graph,
     random_lists,
@@ -155,21 +156,38 @@ def test_criterion_4_truth_table(capsys):
 
 
 def test_criterion_5a_enumerator_vs_brute(capsys):
-    forbidden_sets = [[], ["P6"], ["P5"], ["P3"], ["claw"], ["C4"], ["2P2+P1"], ["P6", "C4"]]
-    checked = 0
-    ok = True
-    for names in forbidden_sets:
+    # Patterns for the P6 walker and for the generic anchored matcher, and
+    # chord-rich configurations under no pattern or a small one.  P6 with
+    # claw keeps witnesses of the walker and of the matcher in one cache.
+    # Length 7 reaches the worker tasks.
+    cases = [([], 6), (["P3"], 6), (["P4"], 6), (["P5"], 6), (["C4"], 6),
+             (["2P2+P1"], 6), (["P6", "C4"], 6), (["P6"], 7), (["2P3"], 7),
+             (["claw"], 7), (["P4+1P1"], 7), (["P6", "claw"], 7)]
+    failed = []
+    lines = 0
+    for names, max_n in cases:
         patterns = [pattern_graph(x) for x in names]
-        r = enumerate_propagation_paths(names, 6)
-        for k in range(1, 7):
-            ok = ok and r.count_at(k) == brute_count_configs(patterns, k)
-            checked += 1
+        per_length = [brute_configs(patterns, k) for k in range(1, max_n + 1)]
+        expected = sorted(
+            (k, "".join(map(str, cs)), ",".join(f"{i}-{j}" for i, j in chords) or "-")
+            for k, configs in enumerate(per_length, 1)
+            for cs, chords in configs
+        )
+        counts = tuple(map(len, per_length))
+        buf = io.StringIO()
+        emitted = enumerate_propagation_paths(names, max_n, emit=buf)
+        plain = enumerate_propagation_paths(names, max_n)
+        if (buf.getvalue() != "".join(f"{k} {cs} {es}\n" for k, cs, es in expected)
+                or not emitted.counts == plain.counts == counts):
+            failed.append("+".join(names) or "[]")
+        lines += len(expected)
     report(
         capsys,
         "5a",
-        ok,
-        f"enumerator equals brute-force filtering for n <= 6 on "
-        f"{len(forbidden_sets)} forbidden sets ({checked} length checks)",
+        not failed,
+        f"enumerator equals brute-force filtering on {len(cases)} forbidden sets, "
+        f"n <= 6 or 7: emitted stream ({lines} lines) and counts with and without "
+        f"emit; mismatches: {', '.join(failed) or 'none'}",
     )
 
 
@@ -192,36 +210,9 @@ def test_criterion_5b_solver_vs_exhaustive(capsys):
 
 
 def test_criterion_5c_criticality_vs_brute(capsys):
-    import itertools
-
-    def brute(g):
-        def three_colorable(h):
-            if h.n == 0:
-                return True
-            for assign in itertools.product((1, 2, 3), repeat=h.n):
-                if all(assign[u] != assign[v] for u, v in h.edges()):
-                    return True
-            return False
-
-        if three_colorable(g):
-            return False
-        for v in range(g.n):
-            keep = [u for u in range(g.n) if u != v]
-            rows = [0] * (g.n - 1)
-            for a, u in enumerate(keep):
-                for b, w in enumerate(keep):
-                    if g.has_edge(u, w):
-                        rows[a] |= 1 << b
-            if not three_colorable(Graph.from_rows(rows)):
-                return False
-        return True
-
-    count = 0
-    ok = True
-    for g in graphs_upto(6):
-        ok = ok and is_4_vertex_critical(g) == brute(g)
-        count += 1
-    report(capsys, "5c", ok, f"criticality test matches brute force on all {count} classes, n <= 6")
+    classes = graphs_upto(6)
+    ok = all(is_4_vertex_critical(g) == is_4_vertex_critical_brute(g) for g in classes)
+    report(capsys, "5c", ok, f"criticality test matches brute force on all {len(classes)} classes, n <= 6")
 
 
 NAMED_PATTERNS = (

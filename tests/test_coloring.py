@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,15 +15,15 @@ from tricrit.coloring import (
     update_along_path,
 )
 from tricrit.families import gen_Gr, gen_Hr
-from tricrit.graphs import Graph, cycle_graph, induced_subgraph, path_graph
+from tricrit.graphs import Graph, bits, cycle_graph, induced_subgraph, path_graph
 
 from oracles import (
     brute_l_colorable,
     complete_graph,
     l_colorable_reference,
+    propagate_reference,
     random_graph,
     random_lists,
-    update_wrt_set_reference,
 )
 
 
@@ -117,31 +118,71 @@ def test_l_colorable_keeps_the_reference_search_tree(seed, n):
     assert l_colorable(g, l) == l_colorable_reference(g, l)
 
 
+def propagate(g: Graph, l: ListSystem) -> tuple[ListSystem, frozenset[int]] | None:
+    """``_propagate`` from nothing done, on the color classes of ``l``, read
+    back in the shape of ``propagate_reference``: the exhaustive update with
+    respect to the set of one-color vertices."""
+    classes = (sum(1 << v for v in range(g.n) if l.masks[v] & c) for c in (1, 2, 4))
+    res = _propagate(g.rows, *classes, 0)
+    if res is None:
+        return None
+    p1, p2, p3, done = res
+    masks = [p1 >> v & 1 | (p2 >> v & 1) << 1 | (p3 >> v & 1) << 2 for v in range(g.n)]
+    return ListSystem(masks), frozenset(bits(done))
+
+
 @given(st.integers(0, 2**28), st.integers(0, 10))
 @settings(max_examples=150, deadline=None)
 def test_propagate_matches_exhaustive_update(seed, n):
-    # With the one-color vertices forced, the round-based update clashes
-    # exactly when unit propagation does, and otherwise reaches its lists.
+    # Batches of one-color vertices reach the lists and the clash of one
+    # vertex at a time.
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.random())
     l = ListSystem([rng.choice((1, 2, 4, 7, rng.randint(1, 7))) for _ in range(n)])
-    out = update_wrt_set_reference(g, l, [v for v in range(n) if l.size(v) == 1], "exhaustive")
-    classes = (sum(1 << v for v in range(n) if l.masks[v] & c) for c in (1, 2, 4))
-    res = _propagate(g.rows, *classes, 0)
-    assert (res is None) == out.conflict
-    if res is not None:
-        p1, p2, p3, done = res
-        masks = tuple(p1 >> v & 1 | (p2 >> v & 1) << 1 | (p3 >> v & 1) << 2 for v in range(n))
-        assert masks == out.lists.masks
-        assert done == sum(1 << v for v in out.fixed)
+    assert propagate(g, l) == propagate_reference(g, l)
 
 
-def test_update_from_example():
-    # one round against a forced vertex deletes its color from its neighbor
-    g = path_graph(2)
-    l = ListSystem.from_sets([(2,), (1, 2, 3)])
-    out = update_wrt_set_reference(g, l, [0], 1)
-    assert out.lists.to_sets() == [(2,), (1, 3)]
+@given(st.integers(0, 2**28), st.integers(1, 7))
+@settings(max_examples=80, deadline=None)
+def test_update_wrt_set_fixpoint_is_stable(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    l = random_lists(rng, n)
+    out = propagate(g, l)
+    if out is not None:
+        assert propagate(g, out[0]) == out
+
+
+@given(st.integers(0, 2**28), st.integers(1, 7))
+@settings(max_examples=100, deadline=None)
+def test_update_wrt_set_preserves_solutions(seed, n):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, 0.5)
+    l = random_lists(rng, n)
+    out = propagate(g, l)
+    for sol in product(*map(l.colors, range(n))):
+        if all(sol[u] != sol[v] for u, v in g.edges()):
+            assert out is not None
+            assert all(sol[v] in out[0].colors(v) for v in range(n))
+
+
+def test_precolor_and_update_triangle_kills_fourth():
+    # the triangle of K4 pinned to 1, 2, 3 leaves the fourth vertex no color
+    g = complete_graph(4)
+    l = ListSystem.from_sets([(1,), (2,), (3,), (1, 2, 3)])
+    assert propagate(g, l) is None
+
+
+def test_precolor_circulant_forces_everything():
+    # pinning one triangle of the 16-vertex circulant empties the list of
+    # vertex 10; without it, every other vertex is forced, 3, 1, 2 repeating.
+    g = gen_Gr(5)
+    l = ListSystem.from_sets([(1, 2, 3), (1,), (2,), (3,)] + [(1, 2, 3)] * 12)
+    assert propagate(g, l) is None
+    keep = [v for v in range(g.n) if v != 10]
+    lists, fixed = propagate(induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep))
+    assert lists.to_sets() == [(c,) for c in [3, 1, 2] * 5]
+    assert fixed == frozenset(range(15))
 
 
 def test_update_along_path_simple():
@@ -186,116 +227,3 @@ def test_update_along_obstruction_backbone():
     assert [pc[v] for v in range(12)] == [1, 2, 3] * 4
     assert pc[12] == 1
     assert None in pc
-
-
-def test_update_wrt_set_zero_rounds_is_identity():
-    g = path_graph(4)
-    l = ListSystem.from_sets([(1,), (1, 2), (2, 3), (1, 2, 3)])
-    out = update_wrt_set_reference(g, l, [0], 0)
-    assert out.lists == l
-
-
-def test_update_wrt_set_chain():
-    # a-b-c with a pinned: one round fixes b, the next fixes c
-    g = path_graph(3)
-    l = ListSystem.from_sets([(1,), (1, 2), (2, 3)])
-    one = update_wrt_set_reference(g, l, [0], 1)
-    assert one.lists.to_sets() == [(1,), (2,), (2, 3)]
-    out = update_wrt_set_reference(g, l, [0], "exhaustive")
-    assert out.lists.to_sets() == [(1,), (2,), (3,)]
-    assert out.conflict is False
-    assert out.fixed == frozenset({0, 1, 2})
-    assert out.rounds == 2
-
-
-def test_update_wrt_set_conflict_wipes_outside():
-    # two adjacent forced vertices sharing one color: everything else empties
-    g = path_graph(3)
-    l = ListSystem.from_sets([(1,), (1,), (1, 2, 3)])
-    out = update_wrt_set_reference(g, l, [0, 1], 1)
-    assert out.conflict is True
-    assert out.lists.to_sets() == [(1,), (1,), ()]
-
-
-@given(st.integers(0, 2**28), st.integers(1, 7), st.integers(0, 4))
-@settings(max_examples=120, deadline=None)
-def test_update_wrt_set_lists_only_shrink(seed, n, rounds):
-    rng = random.Random(seed)
-    g = random_graph(rng, n, 0.5)
-    l = random_lists(rng, n, allow_empty=True)
-    x = [v for v in range(n) if l.size(v) <= 1 and rng.random() < 0.7]
-    out = update_wrt_set_reference(g, l, x, rounds).lists
-    for v in range(n):
-        assert out.masks[v] & ~l.masks[v] == 0
-        if v in x:
-            assert out.masks[v] == l.masks[v]
-
-
-@given(st.integers(0, 2**28), st.integers(1, 7))
-@settings(max_examples=80, deadline=None)
-def test_update_wrt_set_fixpoint_is_stable(seed, n):
-    rng = random.Random(seed)
-    g = random_graph(rng, n, 0.5)
-    l = random_lists(rng, n, allow_empty=False)
-    x = [v for v in range(n) if l.size(v) == 1 and rng.random() < 0.7]
-    out = update_wrt_set_reference(g, l, x, "exhaustive")
-    again = update_wrt_set_reference(g, out.lists, out.fixed, "exhaustive")
-    assert again.lists == out.lists
-
-
-@given(st.integers(0, 2**28), st.integers(1, 7))
-@settings(max_examples=100, deadline=None)
-def test_update_wrt_set_preserves_solutions(seed, n):
-    # updating never discards a proper coloring that extends the forced set
-    rng = random.Random(seed)
-    g = random_graph(rng, n, 0.5)
-    l = random_lists(rng, n, allow_empty=False)
-    x = [v for v in range(n) if l.size(v) == 1]
-    sol = brute_l_colorable(g, l)
-    if sol is None:
-        return
-    out = update_wrt_set_reference(g, l, x, "exhaustive")
-    if not out.conflict:
-        for v in range(n):
-            if v not in out.fixed:
-                assert sol[v] in out.lists.colors(v)
-
-
-def test_precolor_and_update_empty_assignment():
-    g = path_graph(3)
-    l = ListSystem.full(3)
-    assert update_wrt_set_reference(g, l, [], 3).lists == l
-
-
-def test_precolor_and_update_triangle_kills_fourth():
-    # the triangle of K4 pinned to 1, 2, 3 leaves the fourth vertex no color
-    g = complete_graph(4)
-    l = ListSystem.from_sets([(1,), (2,), (3,), (1, 2, 3)])
-    out = update_wrt_set_reference(g, l, [0, 1, 2], 3)
-    assert out.lists.colors(3) == ()
-
-
-def test_precolor_circulant_forces_everything():
-    # pinning one triangle of the 16-vertex circulant determines every list;
-    # one vertex empties, its antipode is forced to color 3.
-    g = gen_Gr(5)
-    l = ListSystem.from_sets([(1, 2, 3), (1,), (2,), (3,)] + [(1, 2, 3)] * 12)
-    out = update_wrt_set_reference(g, l, [1, 2, 3], "exhaustive")
-    assert out.lists.to_sets() == [
-        (3,),
-        (1,),
-        (2,),
-        (3,),
-        (1,),
-        (2,),
-        (3,),
-        (1,),
-        (2,),
-        (3,),
-        (),
-        (1,),
-        (2,),
-        (3,),
-        (1,),
-        (2,),
-    ]

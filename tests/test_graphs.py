@@ -33,7 +33,6 @@ from oracles import (
     automorphism_orbits_brute,
     canonical_form,
     complete_graph,
-    contains_induced_brute,
     contains_induced_through_brute,
     graphs_upto,
     is_iso_brute,
@@ -44,8 +43,9 @@ from oracles import (
 
 
 def test_graph_construction_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 3)])
+    for edge in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            Graph(3, [edge])
     with pytest.raises(ValueError):
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
@@ -167,19 +167,6 @@ def test_find_induced_embedding_is_faithful():
         for b in range(a + 1, h.n):
             assert h.has_edge(a, b) == g.has_edge(emb[a], emb[b])
     assert find_induced_embedding(complete_graph(3), "claw") is None
-
-
-def test_contains_induced_against_brute_small():
-    # Exhaustive over isomorphism classes up to 5 vertices and a spread of
-    # named patterns; the full 9-vertex sweep lives in the acceptance suite.
-    patterns = ["P2", "P3", "P4", "P5", "C3", "C4", "C5", "claw", "2P2+P1"]
-    for g in graphs_upto(5):
-        for name in patterns:
-            h = pattern_graph(name)
-            assert contains_induced(g, h) == contains_induced_brute(g, h), (
-                g,
-                name,
-            )
 
 
 @given(st.integers(0, 2**28), st.integers(2, 7))

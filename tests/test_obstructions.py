@@ -305,31 +305,6 @@ def test_is_4_vertex_critical_examples():
     assert is_4_vertex_critical(gen_Gr(2))
 
 
-def test_is_4_vertex_critical_brute_smoke():
-    # acceptance covers all classes up to 6 vertices; spot-check 5 here
-    def brute(g):
-        def three_colorable(h):
-            for assign in itertools.product((1, 2, 3), repeat=h.n):
-                if all(assign[u] != assign[v] for u, v in h.edges()):
-                    return True
-            return h.n == 0
-        if three_colorable(g):
-            return False
-        for v in range(g.n):
-            keep = [u for u in range(g.n) if u != v]
-            rows = [0] * (g.n - 1)
-            for a, u in enumerate(keep):
-                for b, w in enumerate(keep):
-                    if g.has_edge(u, w):
-                        rows[a] |= 1 << b
-            if not three_colorable(Graph.from_rows(rows)):
-                return False
-        return True
-
-    for g in graphs_on(5):
-        assert is_4_vertex_critical(g) == brute(g)
-
-
 def test_obstruction_report_colorable():
     rep = obstruction_report(cycle_graph(4), ListSystem.full(4))
     assert rep.colorable and rep.witness is not None and not rep.minimal

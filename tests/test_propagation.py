@@ -27,15 +27,7 @@ from tricrit.propagation import (
     shape,
 )
 
-from oracles import (
-    brute_configs,
-    brute_count_configs,
-    chord_ok,
-    config_graph,
-    contains_induced_brute,
-    dfs_stream_uncached,
-    parse_emitted_line,
-)
+from oracles import chord_ok, dfs_stream_uncached, parse_emitted_line
 
 
 def test_prop_config_validation():
@@ -173,26 +165,6 @@ def test_enumerate_edge_cases():
             enumerate_propagation_paths(["P6"], max_n, jobs=jobs)
 
 
-def test_enumerate_agrees_with_brute_force():
-    forbidden_sets = [
-        ([], 6),
-        (["P6"], 6),
-        (["P4"], 6),
-        (["P3"], 6),
-        (["claw"], 6),
-        (["C4"], 6),
-        (["2P2+P1"], 6),
-        (["P6", "C4"], 6),
-        (["2P3"], 7),
-        (["P4+1P1"], 7),
-    ]
-    for names, max_n in forbidden_sets:
-        patterns = [pattern_graph(x) for x in names]
-        r = enumerate_propagation_paths(names, max_n)
-        for k in range(1, max_n + 1):
-            assert r.count_at(k) == brute_count_configs(patterns, k), (names, k)
-
-
 def test_max_length_examples():
     assert max_propagation_length(["P3"]) == 3
     assert enumerate_propagation_paths(["P3"], 5).counts == (1, 2, 2, 0, 0)
@@ -207,50 +179,6 @@ def test_unbounded_search_raises_resource_limit(names):
     with pytest.raises(ResourceLimitError, match="^configurations reach length 128; "
                        "the search looks unbounded$"):
         max_propagation_length(names)
-
-
-def test_emitted_stream_is_valid_and_complete():
-    buf = io.StringIO()
-    r = enumerate_propagation_paths(["P6"], 7, emit=buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == r.total
-    assert lines == sorted(lines)
-    p6 = pattern_graph("P6")
-    per_length = [0] * 7
-    seen = set()
-    for line in lines:
-        assert line not in seen
-        seen.add(line)
-        cfg = parse_emitted_line(line)
-        per_length[cfg.k - 1] += 1
-        # independent re-check of every acceptance condition
-        cs = cfg.colors
-        assert cs[0] == 1
-        assert all(a != b for a, b in zip(cs, cs[1:]))
-        for i, j in cfg.extra_edges:
-            assert chord_ok(cs, i, j), line
-        g = config_graph(cfg.k, cfg.extra_edges)
-        assert not contains_induced_brute(g, p6), line
-    assert tuple(per_length) == r.counts
-
-
-def test_emitted_stream_matches_brute_force():
-    # The whole stream, chord order inside each line included, on
-    # chord-rich configurations: no pattern at all, and patterns the
-    # generic anchored matcher checks.  P6 with claw keeps witnesses of
-    # the walker and of the matcher in one cache.  Length 7 reaches the
-    # worker tasks.
-    cases = (([], 6), (["2P3"], 7), (["claw"], 7), (["P4+1P1"], 7), (["P6", "claw"], 7))
-    for names, max_n in cases:
-        patterns = [pattern_graph(x) for x in names]
-        expected = sorted(
-            (k, "".join(map(str, cs)), ",".join(f"{i}-{j}" for i, j in chords) or "-")
-            for k in range(1, max_n + 1)
-            for cs, chords in brute_configs(patterns, k)
-        )
-        buf = io.StringIO()
-        enumerate_propagation_paths(names, max_n, emit=buf)
-        assert buf.getvalue() == "".join(f"{k} {cs} {es}\n" for k, cs, es in expected), names
 
 
 # The emitted streams of the generic matcher, pinned by line count and
