@@ -234,10 +234,15 @@ def components(g: Graph) -> list[list[int]]:
 # trusted otherwise, so enumeration loops can check without building
 # Graph objects.
 
-def _match_order(h: Graph, start: int) -> tuple[int, ...]:
-    # Start from ``start``, then prefer vertices with many already placed
-    # neighbors, then high degree, so the backtracking stays connected
-    # where possible.
+def _match_plan(h: Graph, start: int) -> tuple[tuple, ...]:
+    """The match order from ``start``, compiled for :func:`_embed`.
+
+    The order starts at ``start``, then prefers vertices with many already
+    placed neighbors, then high degree, so the backtracking stays connected
+    where possible.  Level k of the plan is ``(p, ins, outs)``: the pattern
+    vertex p placed k-th, the earlier levels that hold its pattern
+    neighbours and those that hold its non-neighbours.
+    """
     rows = h.rows
     order = [start]
     placed = 1 << start
@@ -247,7 +252,12 @@ def _match_order(h: Graph, start: int) -> tuple[int, ...]:
         rest.remove(best)
         order.append(best)
         placed |= 1 << best
-    return tuple(order)
+    return tuple(
+        (p,
+         tuple(j for j, q in enumerate(order[:k]) if rows[p] >> q & 1),
+         tuple(j for j, q in enumerate(order[:k]) if not rows[p] >> q & 1))
+        for k, p in enumerate(order)
+    )
 
 
 class PatternSearch:
@@ -260,8 +270,10 @@ class PatternSearch:
     Vertex p is decided the first time the search reaches it: it joins the
     orbit of an earlier kept q of its degree iff ``_embed`` embeds H into
     itself with q on p, since an induced self-embedding is an automorphism.
-    So a large pattern whose first order finds a copy pays for no other
-    order and no orbit test.  Instances pickle, so workers can share them.
+    A kept p gets its match order then, compiled once by
+    :func:`_match_plan`.  So a large pattern whose first order finds a
+    copy pays for no other order and no orbit test.  Instances pickle, so
+    workers can share them.
     """
 
     __slots__ = ("h", "path", "orders")
@@ -269,9 +281,9 @@ class PatternSearch:
     def __init__(self, h):
         self.h = pattern_graph(h)
         self.path = _as_path_length(self.h)
-        # orders[p] is None until p is decided, then the match order that
+        # orders[p] is None until p is decided, then the match plan that
         # starts at p if p represents its orbit, else False.  The empty
-        # pattern has one empty order, so every anchor holds a copy.
+        # pattern has one empty plan, so every anchor holds a copy.
         self.orders = [None] * self.h.n or [()]
 
     def through(self, rows: Sequence[int], alive: int, anchor: int) -> int:
@@ -297,16 +309,16 @@ class PatternSearch:
     def embedding(self, rows: Sequence[int], alive: int, anchor: int) -> list[int] | None:
         """The matcher's image of a copy that uses ``anchor``, or None."""
         h, orders = self.h, self.orders
-        for p, order in enumerate(orders):
-            if order is None:
+        for p, plan in enumerate(orders):
+            if plan is None:
                 hrows, deg = h.rows, h.rows[p].bit_count()
-                order = orders[p] = not any(
-                    o and hrows[o[0]].bit_count() == deg
-                    and _embed(hrows, (1 << h.n) - 1, h, o, p) is not None
-                    for o in orders[:p]
-                ) and _match_order(h, p)
-            if order is not False:
-                image = _embed(rows, alive, h, order, anchor)
+                plan = orders[p] = not any(
+                    kept and hrows[kept[0][0]].bit_count() == deg
+                    and _embed(hrows, (1 << h.n) - 1, kept, p) is not None
+                    for kept in orders[:p]
+                ) and _match_plan(h, p)
+            if plan is not False:
+                image = _embed(rows, alive, plan, anchor)
                 if image is not None:
                     return image
         return None
@@ -316,40 +328,49 @@ class PatternSearch:
 _search = lru_cache(PatternSearch)
 
 
-def _embed(
-    rows: Sequence[int], alive: int, h: Graph, order: Sequence[int], anchor: int
-) -> list[int] | None:
-    """Backtracking search for an induced copy of ``h`` among the vertices
-    of the bitmask ``alive``, with ``order[0]`` on ``anchor``.
+def _embed(rows: Sequence[int], alive: int, plan: Sequence[tuple], anchor: int) -> list[int] | None:
+    """Backtracking search for an induced copy of a pattern among the
+    vertices of the bitmask ``alive``, with the plan's first vertex on
+    ``anchor``.
 
-    Pattern vertices are placed in ``order``.  Each later one goes on an
-    unused live vertex in the row of every placed pattern neighbour and in
-    the row of no placed non-neighbour, tried lowest first; so its
-    candidates come from a neighbour's row whenever it has a placed
-    neighbour.  Returns the image list indexed by pattern vertex, or None.
+    ``plan`` is a match order compiled by :func:`_match_plan`.  The search
+    is one loop over an explicit stack of levels, and level k holds its
+    untried candidates, the vertices used below it and the row of the
+    vertex placed there.  Level k's candidates are the unused live vertices
+    in the row of every level in its ``ins`` and in the row of none in its
+    ``outs``, tried lowest first.  Returns the image list indexed by
+    pattern vertex, or None.
     """
-    hn = h.n
+    hn = len(plan)
     if hn > alive.bit_count():
         return None
     image = [-1] * hn
-    hrows = h.rows
-
-    def place(k: int, used: int) -> bool:
-        if k == hn:
-            return True
-        p = order[k]
-        cand = alive & ~used if k else 1 << anchor
-        for q in order[:k]:
-            cand &= rows[image[q]] if hrows[p] >> q & 1 else ~rows[image[q]]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            image[p] = b.bit_length() - 1
-            if place(k + 1, used | b):
-                return True
-        return False
-
-    return image if place(0, 0) else None
+    cands = [0] * hn
+    useds = [0] * hn
+    prows = [0] * hn
+    k, cand, used = 0, 1 << anchor, 0
+    while k < hn:
+        if not cand:
+            k -= 1
+            if k < 0:
+                return None
+            cand, used = cands[k], useds[k]
+            continue
+        b = cand & -cand
+        cands[k], useds[k] = cand ^ b, used
+        v = b.bit_length() - 1
+        image[plan[k][0]] = v
+        prows[k] = rows[v]
+        used |= b
+        k += 1
+        if k < hn:
+            _, ins, outs = plan[k]
+            cand = alive & ~used
+            for j in ins:
+                cand &= prows[j]
+            for j in outs:
+                cand &= ~prows[j]
+    return image
 
 
 def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:

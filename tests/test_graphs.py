@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -309,9 +310,9 @@ def test_anchored_miss_searches_once_per_orbit(monkeypatch):
     calls = []
     embed = graphs._embed
 
-    def counted(rows, alive, h, order, anchor):
-        calls.append(order[0])
-        return embed(rows, alive, h, order, anchor)
+    def counted(rows, alive, plan, anchor):
+        calls.append(plan[0][0])
+        return embed(rows, alive, plan, anchor)
 
     monkeypatch.setattr(graphs, "_embed", counted)
     c7 = cycle_graph(7)
@@ -334,6 +335,27 @@ def test_anchored_miss_searches_once_per_orbit(monkeypatch):
     assert not search.through(p20.rows, (1 << 20) - 1, 10)
     assert calls == [0] * 12
     assert sum(isinstance(order, tuple) for order in search.orders) == 1
+
+
+def test_matcher_leaves_no_garbage():
+    # The matcher keeps its search state on a stack of plain lists, so a
+    # search leaves no reference cycle for the collector to find.  Paths go
+    # to the walker, whose recursive ``arm`` closure is a cycle; they are
+    # left out, except P3 through find_induced_embedding, which takes the
+    # matcher.
+    c7 = cycle_graph(7)
+    full = (1 << 7) - 1
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("2P3", "claw", "C5", "P4+2P1"):
+            search = PatternSearch(name)
+            for i in range(700):
+                assert not search.through(c7.rows, full, i % 7)
+                assert find_induced_embedding(c7, "P3") is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
