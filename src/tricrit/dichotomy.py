@@ -90,8 +90,7 @@ def is_induced_subgraph_of_P6(h) -> tuple[int, ...] | None:
     The embedding maps each vertex of ``h`` to a position 0..5; edges and
     non-edges are both preserved.
     """
-    g = pattern_graph(h)
-    return find_induced_embedding(path_graph(6), g) if g.n <= 6 else None
+    return find_induced_embedding(path_graph(6), h)
 
 
 def is_induced_subgraph_of_P4kP1(h) -> tuple[int, tuple[int, ...]] | None:

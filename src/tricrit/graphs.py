@@ -263,10 +263,10 @@ def _match_plan(h: Graph, start: int) -> tuple[tuple, ...]:
 class PatternSearch:
     """The anchored check for one pattern, built once per pattern.
 
-    A path goes to the walker :func:`has_induced_path_through`; any other
-    pattern goes to the matcher :func:`_embed`, once per orbit of Aut(H),
-    with the orbit's lowest vertex on the anchor: a copy with p on the
-    anchor, composed with an automorphism that maps q to p, has q there.
+    A path goes to the walker :func:`_arm`; any other pattern goes to the
+    matcher :func:`_embed`, once per orbit of Aut(H), with the orbit's
+    lowest vertex on the anchor: a copy with p on the anchor, composed with
+    an automorphism that maps q to p, has q there.
     Vertex p is decided the first time the search reaches it: it joins the
     orbit of an earlier kept q of its degree iff ``_embed`` embeds H into
     itself with q on p, since an induced self-embedding is an automorphism.
@@ -382,9 +382,12 @@ def find_induced_embedding(g: Graph, h) -> tuple[int, ...] | None:
     included, since only the matcher yields an image: the first copy
     through the lowest anchor that has one.
     """
-    search = _search(pattern_graph(h))
-    if not search.h.n:
+    h = pattern_graph(h)
+    if h.n > g.n:
+        return None
+    if not h.n:
         return ()
+    search = _search(h)
     full = (1 << g.n) - 1
     images = (search.embedding(g.rows, full >> v << v, v) for v in range(g.n))
     return next((tuple(image) for image in images if image is not None), None)
@@ -396,9 +399,12 @@ def contains_induced(g: Graph, h) -> bool:
     The whole-graph anchor loop: anchor v searches the vertices v..n-1, as
     every copy is found at its lowest vertex.
     """
-    search = _search(pattern_graph(h))
+    h = pattern_graph(h)
+    if h.n > g.n:
+        return False
+    search = _search(h)
     full = (1 << g.n) - 1
-    return not search.h.n or any(search.through(g.rows, full >> v << v, v) for v in range(g.n))
+    return not h.n or any(search.through(g.rows, full >> v << v, v) for v in range(g.n))
 
 
 def _as_path_length(h: Graph) -> int | None:
@@ -417,52 +423,44 @@ def has_induced_path_through(rows: Sequence[int], alive: int, anchor: int, t: in
     """The vertex mask of an induced path on ``t`` vertices among ``alive``
     that uses vertex ``anchor``, or 0 if there is none.
 
-    The path arm of :class:`PatternSearch`.  The path is grown as two
-    arms out of the anchor by one recursive ``arm``, first arm first; the
-    second arm is opened only once the first holds a strict majority of
-    the remaining vertices, so each arm pair is tried in one orientation
-    only and the recursion never runs deeper on the second arm than on the
-    first.  The second arm is ``arm`` restarted at the anchor with the
-    switch closed.  ``arm`` carries ``acc``, the union of the rows of the
-    placed vertices other than the tip and the anchor, so the next vertex's
-    candidates are one mask: the tip's unused neighbours outside ``acc``
-    and, unless the tip is the anchor, outside the anchor's row.  ``acc``
-    starts as the dead vertices, so no candidate is ever dead.  The
-    candidates are tried from the highest vertex down, and the last vertex
-    of a path is the highest candidate, taken without a loop: the
-    enumeration anchors at the newest (highest) vertex, whose neighborhood
-    is where a fresh path is most likely to live, and on that workload
-    most queries succeed, so time-to-first-hit dominates.  The mask
-    returned is the walk's ``used`` mask at the hit: exactly the t
-    vertices of the path, which is the graph the rows induce on them, so
-    the mask stays a witness wherever those rows are unchanged.
+    The path check of :class:`PatternSearch`.  The mask is exactly the
+    path's t vertices, so it stays a witness wherever the rows agree on them.
     """
     if t < 2:
         return 1 << anchor if t == 1 else 0
-    arow = rows[anchor]
-    tm1 = t - 1
+    return _arm(rows, anchor, t, anchor, 1 << anchor, 1, (t + 2) // 2, (1 << len(rows)) - 1 ^ alive)
 
-    def arm(end: int, used: int, m: int, switch: int, acc: int) -> int:
-        # ``used`` holds the m vertices placed so far; once m reaches
-        # ``switch`` the other arm may open at the anchor.
-        row = rows[end]
-        if end == anchor:
-            cand = row & ~(used | acc)
-        else:
-            cand = row & ~(used | acc | arow)
-            acc |= row
-        if cand and m == tm1:
-            return used | 1 << cand.bit_length() - 1
-        while cand:
-            w = cand.bit_length() - 1
-            b = 1 << w
-            cand ^= b
-            hit = arm(w, used | b, m + 1, switch, acc)
-            if hit:
-                return hit
-        return arm(anchor, used, m, t, acc) if m >= switch else 0
 
-    return arm(anchor, 1 << anchor, 1, (t + 2) // 2, (1 << len(rows)) - 1 ^ alive)
+def _arm(rows: Sequence[int], anchor: int, t: int, end: int, used: int, m: int,
+         switch: int, acc: int) -> int:
+    """The walker: grow the path on ``used`` (m vertices; the arm being
+    grown ends at ``end``) to t vertices.  The mask at the hit, or 0.
+
+    The anchor may lie inside the path, so the path is two arms out of it.
+    The second opens at the anchor, with the switch closed (``switch = t``),
+    only once the first holds ``switch`` vertices with the anchor, so each
+    path is tried in one orientation only.  ``acc`` is the union of the
+    rows of the placed vertices other than the tip and the anchor; it
+    starts as the dead vertices, so no candidate is ever dead.  Candidates
+    go highest first: the enumeration anchors at its newest (highest)
+    vertex and most of its queries hit, so time to the first hit dominates.
+    """
+    row = rows[end]
+    if end == anchor:
+        cand = row & ~(used | acc)
+    else:
+        cand = row & ~(used | acc | rows[anchor])
+        acc |= row
+    if cand and m == t - 1:
+        return used | 1 << cand.bit_length() - 1
+    while cand:
+        w = cand.bit_length() - 1
+        b = 1 << w
+        cand ^= b
+        hit = _arm(rows, anchor, t, w, used | b, m + 1, switch, acc)
+        if hit:
+            return hit
+    return _arm(rows, anchor, t, anchor, used, m, t, acc) if m >= switch else 0
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,9 @@ class PropConfig:
     extra_edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        # Any sequence of colours and any iterable of chords give one value.
+        object.__setattr__(self, "colors", tuple(self.colors))
+        object.__setattr__(self, "extra_edges", frozenset(self.extra_edges))
         if not self.colors:
             raise ValueError("a configuration has at least one vertex")
         if self.colors[0] != 1:

@@ -135,7 +135,7 @@ def test_pattern_parsing():
     assert pattern_graph(path_graph(2)) == path_graph(2)
 
 
-def test_contains_induced_basics():
+def test_contains_induced_basics(monkeypatch):
     assert contains_induced(path_graph(6), "P6")
     assert not contains_induced(cycle_graph(6), "P6")
     assert contains_induced(cycle_graph(6), "P5")
@@ -152,6 +152,16 @@ def test_contains_induced_basics():
         assert not contains_induced(path_graph(3), name)
         assert find_induced_embedding(path_graph(3), name) is None
     assert not has_induced_path(path_graph(3), 4)
+    # A pattern larger than its host is refused before any search: no
+    # match order is run and no orbit decided.
+    calls = []
+    embed, walk = graphs._embed, graphs.has_induced_path_through
+    monkeypatch.setattr(graphs, "_embed", lambda *a: calls.append(a) or embed(*a))
+    monkeypatch.setattr(graphs, "has_induced_path_through", lambda *a: calls.append(a) or walk(*a))
+    for h in (path_graph(100), cycle_graph(128)):
+        assert not contains_induced(path_graph(3), h)
+        assert find_induced_embedding(path_graph(3), h) is None
+    assert calls == []
 
 
 def test_has_induced_path_rejects_bad_length():
@@ -337,22 +347,21 @@ def test_anchored_miss_searches_once_per_orbit(monkeypatch):
     assert sum(isinstance(order, tuple) for order in search.orders) == 1
 
 
-def test_matcher_leaves_no_garbage():
-    # The matcher keeps its search state on a stack of plain lists, so a
-    # search leaves no reference cycle for the collector to find.  Paths go
-    # to the walker, whose recursive ``arm`` closure is a cycle; they are
-    # left out, except P3 through find_induced_embedding, which takes the
-    # matcher.
+def test_anchored_search_leaves_no_garbage():
+    # The matcher keeps its search state on a stack of plain lists and the
+    # walker is a plain recursive function, so no search leaves a reference
+    # cycle for the collector to find.  C7 holds P6 and none of the others.
     c7 = cycle_graph(7)
     full = (1 << 7) - 1
     gc.collect()
     gc.disable()
     try:
-        for name in ("2P3", "claw", "C5", "P4+2P1"):
+        for name in ("2P3", "claw", "C5", "P4+2P1", "P6", "P7"):
             search = PatternSearch(name)
             for i in range(700):
-                assert not search.through(c7.rows, full, i % 7)
+                assert bool(search.through(c7.rows, full, i % 7)) == (name == "P6")
                 assert find_induced_embedding(c7, "P3") is not None
+                assert contains_induced(c7, "P6")
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -66,6 +66,12 @@ def test_prop_config_accessors():
     for bad in (0, True, 1.0):  # True == 1.0 == 1, so only a type check keeps them out
         with pytest.raises(ValueError):
             cfg.color(bad)
+    # Any sequence of colours and any iterable of chords give the same
+    # hashable value, a repeated chord counted once.
+    for same in (PropConfig([1, 2, 3], [(1, 3)]), PropConfig((1, 2, 3), [(1, 3), (1, 3)])):
+        assert same == cfg and hash(same) == hash(cfg)
+        assert same.colors == (1, 2, 3) and same.extra_edges == frozenset({(1, 3)})
+    assert hash(PropConfig([1, 2, 3])) == hash(PropConfig((1, 2, 3)))
 
 
 def test_shape_examples():
