@@ -111,8 +111,6 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    if args.name not in ("Gr", "Hr"):
-        raise ValueError(f"--name must be Gr or Hr, got {args.name!r}")
     if args.verify:
         report = (verify_Gr if args.name == "Gr" else verify_Hr)(args.r)
         _print(args, report.to_json_dict(), [
@@ -188,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", parents=[fmt], help="emit or verify a certificate family member")
     p.set_defaults(func=cmd_family)
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", choices=("Gr", "Hr"), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--verify", action="store_true")
 

@@ -60,7 +60,6 @@ class PropConfig:
     def __post_init__(self):
         # Any sequence of colours and any iterable of chords give one value.
         object.__setattr__(self, "colors", tuple(self.colors))
-        object.__setattr__(self, "extra_edges", frozenset(self.extra_edges))
         if not self.colors:
             raise ValueError("a configuration has at least one vertex")
         if self.colors[0] != 1:
@@ -70,8 +69,12 @@ class PropConfig:
         for a, b in zip(self.colors, self.colors[1:]):
             if a == b:
                 raise ValueError("consecutive path vertices share a color")
-        for i, j in self.extra_edges:
-            _check_chord(i, j, self.k)
+        chords = tuple(self.extra_edges)
+        for chord in chords:
+            if type(chord) is not tuple or len(chord) != 2:
+                raise ValueError(f"chord {chord!r} is not a pair (i, j)")
+            _check_chord(*chord, self.k)
+        object.__setattr__(self, "extra_edges", frozenset(chords))
 
     @property
     def k(self) -> int:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent / "ci"))
 
 from tricrit.graphs import PatternSearch
 from tricrit.propagation import enumerate_propagation_paths

@@ -123,11 +123,6 @@ def test_enumerate_checks_p6_reference(capsys, monkeypatch, names):
         assert err == f"length 4: got 22, reference says {wrong[3]}\n"
 
 
-def test_enumerate_rejects_silly_max_n(capsys):
-    rc, _, err = run(capsys, "enumerate", "--forbidden", "P6", "--max-n", "65")
-    assert rc == 2 and "error" in err
-
-
 def test_solve_sat(capsys, tmp_path):
     gpath, _ = write_instance(tmp_path, cycle_graph(5))
     rc, out, _ = run(capsys, "solve", "--graph", gpath, "--format", "json")
@@ -260,9 +255,38 @@ def test_family_verify(capsys):
 
 def test_family_errors(capsys):
     rc, _, err = run(capsys, "family", "--name", "Qr", "--r", "1")
-    assert rc == 2 and "--name must be Gr or Hr" in err
-    rc, _, err = run(capsys, "family", "--name", "Gr", "--r", "0")
-    assert rc == 2
+    choice = err[err.index("invalid choice: 'Qr'"):]
+    assert rc == 2 and "Gr" in choice and "Hr" in choice
+
+
+@pytest.mark.parametrize("command", [
+    "family --name Gr --r 43", "family --name Hr --r 44", "family --name Gr --r 0",
+    "enumerate --forbidden P6 --max-n 65", "enumerate --forbidden P6 --jobs 0",
+])
+def test_out_of_range_flags_exit_2(capsys, command):
+    rc, _, err = run(capsys, *command.split())
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Gr(42) (127 vertices) and Hr(43) (128, the cap) take graph6's 4-byte "~" header.
+@pytest.mark.parametrize("command", [
+    "solve --graph {g2}", "solve --graph {h2} --lists {h2_lists}", "check --graph {g2}",
+    "check --graph {h2} --lists {h2_lists}", "critical --graph {g2}", "family --name Gr --r 2",
+    "family --name Gr --r 2 --verify", "family --name Hr --r 2", "family --name Hr --r 2 --verify",
+    "classify --pattern 2P3", "classify --pattern {g2_g6}", "critical --graph {g42}",
+    "check --graph {g42}", "classify --pattern {g42_g6}", "check --graph {h43} --lists {h43_lists}",
+    "enumerate --forbidden P6 --max-n 5",
+])
+def test_json_output_parses(capsys, tmp_path, command):
+    files = {}
+    for stem, (g, lists) in [("g2", (gen_Gr(2), None)), ("h2", gen_Hr(2)),
+                             ("g42", (gen_Gr(42), None)), ("h43", gen_Hr(43))]:
+        files[stem], files[f"{stem}_lists"] = write_instance(tmp_path, g, lists, stem)
+        files[f"{stem}_g6"] = write_graph6(g)
+    rc, out, _ = run(capsys, *command.format(**files).split(), "--format", "json")
+    assert rc in (0, 1)  # 1: the queried property fails, which is still an answer
+    json.loads(out)
 
 
 def test_classify_by_name(capsys):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,6 +56,9 @@ def test_prop_config_validation():
             PropConfig((1, 2, 1, 2), frozenset({chord}))
         with pytest.raises(ValueError, match="not a valid non-consecutive pair"):
             admissible_edge(PropConfig((1, 2, 1, 2)), *chord)
+    for chord in [[1, 3], 5, (1, 3, 4), (1,)]:  # a chord is a pair
+        with pytest.raises(ValueError, match=re.escape(f"chord {chord!r} ")):
+            PropConfig((1, 2, 1, 2), [chord])
 
 
 def test_prop_config_accessors():
@@ -189,8 +193,8 @@ def test_unbounded_search_raises_resource_limit(names):
 
 # The emitted streams of the generic matcher, pinned by line count and
 # SHA-256.  The uncached oracle below shares PatternSearch with the search,
-# so only these digests catch a fault in the matcher itself.  CI checks the
-# 2P3 stream from pool workers against its digest here.
+# so only these digests catch a fault in the matcher itself.  `ci/checks.py
+# pool-stream` checks the 2P3 and P4+2P1 streams from pool workers against them.
 MATCHER_STREAMS = [
     (["2P3"], 9, 33_911, "605e6d7be9a3bba44a1a3a8b2a5057a88a1d64ff4705af4a39fb3c9f11fad366"),
     (["claw"], 9, 8_947, "a8fabc310b4486394aac0820b5d810c8aa0fac095bb607e7517eb49fa24747e8"),
