@@ -20,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     ("propagation.py", "(i0 < 2 or", "(i0 < 3 or", "test_acceptance.py"),
     ("coloring.py", "if p1 | p2 | p3 != live:", "if False:", "test_coloring.py"),
+    ("coloring.py", "if any(rows[v] & p for p in res for v in bits(p)):", "if False:",
+     "test_coloring.py"),
     ("graphs.py", "0 <= u < n and", "0 <= u <= n and", "test_graphs.py"),
     ("graphs.py", "cand &= ~prows[j]", "pass", "test_graphs.py"),
     ("graphs.py", "(used | acc | rows[anchor])", "(used | acc)", "test_graphs.py"),

@@ -20,9 +20,18 @@ from tricrit.graphs import (
     induced_subgraph,
     path_graph,
     pattern_graph,
+    write_graph6,
 )
 from tricrit.obstructions import extract_minimal, is_4_vertex_critical
-from tricrit.dichotomy import classify
+from tricrit.dichotomy import (
+    CASE_CONTAINS_2P2_P1,
+    CASE_CONTAINS_CLAW,
+    CASE_CONTAINS_CYCLE,
+    CASE_EQUALS_2P3,
+    CASE_SUBGRAPH_OF_P4_KP1,
+    CASE_SUBGRAPH_OF_P6,
+    classify,
+)
 from tricrit.propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
 from oracles import (
@@ -122,36 +131,40 @@ def test_criterion_3_families(capsys):
 
 
 def test_criterion_4_truth_table(capsys):
-    both_finite = [
-        pattern_graph("P6"),
-        pattern_graph("P5"),
-        disjoint_union(path_graph(3), path_graph(2)),
-        pattern_graph("P4+3P1"),
+    # Each pattern with its case.  The case fixes the two flags, finitely
+    # many 4-vertex-critical graphs and finitely many minimal list
+    # obstructions: both for the finite cases, neither for the rest.
+    flags = {CASE_SUBGRAPH_OF_P6: (True, True), CASE_SUBGRAPH_OF_P4_KP1: (True, True),
+             CASE_EQUALS_2P3: (True, False)}
+    cases = [
+        (pattern_graph("P6"), CASE_SUBGRAPH_OF_P6),
+        (pattern_graph("P5"), CASE_SUBGRAPH_OF_P6),
+        (disjoint_union(path_graph(3), path_graph(2)), CASE_SUBGRAPH_OF_P6),
+        (pattern_graph("P4+3P1"), CASE_SUBGRAPH_OF_P4_KP1),
+        (pattern_graph("2P3"), CASE_EQUALS_2P3),
+        (pattern_graph("claw"), CASE_CONTAINS_CLAW),
+        (pattern_graph("2P2+P1"), CASE_CONTAINS_2P2_P1),
+        *((cycle_graph(t), CASE_CONTAINS_CYCLE) for t in range(3, 10)),
+        # supergraphs of patterns on the infinite side
+        (disjoint_union(pattern_graph("claw"), path_graph(2)), CASE_CONTAINS_CLAW),
+        (disjoint_union(cycle_graph(4), path_graph(3)), CASE_CONTAINS_CYCLE),
+        (path_graph(7), CASE_CONTAINS_2P2_P1),
+        (complete_graph(4), CASE_CONTAINS_CYCLE),
+        (Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), CASE_CONTAINS_CYCLE),
     ]
-    both_infinite = [pattern_graph("claw"), pattern_graph("2P2+P1")]
-    both_infinite += [cycle_graph(g) for g in range(3, 10)]
-    containers = [
-        disjoint_union(pattern_graph("claw"), path_graph(2)),
-        disjoint_union(cycle_graph(4), path_graph(3)),
-        path_graph(7),
-        complete_graph(4),
-        Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
-    ]
-    ok = True
-    for h in both_finite:
+    wrong = []
+    for h, case in cases:
         v = classify(h)
-        ok = ok and v.finite_vertex_critical and v.finite_list_obstructions
-    v = classify(pattern_graph("2P3"))
-    ok = ok and v.finite_vertex_critical and not v.finite_list_obstructions
-    for h in both_infinite + containers:
-        v = classify(h)
-        ok = ok and not v.finite_vertex_critical and not v.finite_list_obstructions
+        got = v.case, v.finite_vertex_critical, v.finite_list_obstructions
+        if got != (case, *flags.get(case, (False, False))):
+            wrong.append(write_graph6(h))
     report(
         capsys,
         "4",
-        ok,
-        "verdicts: (finite,finite) x4, (finite,infinite) for 2P3, "
-        "(infinite,infinite) for claw/C3..C9/2P2+P1 and 5 supergraphs",
+        not wrong,
+        "cases and verdicts: (finite,finite) x4, (finite,infinite) for 2P3, "
+        "(infinite,infinite) for claw/C3..C9/2P2+P1 and 5 supergraphs; "
+        f"mismatches: {', '.join(wrong) or 'none'}",
     )
 
 

@@ -176,6 +176,24 @@ def test_solve_missing_file(capsys, tmp_path):
     assert rc == 2 and "error" in err
 
 
+@pytest.mark.parametrize("flag, content, message", [
+    ("--graph", "!!!", "bad graph6 in {}: byte 33 outside graph6 range 63..126 (byte offset 0)\n"),
+    ("--lists", None, "cannot read list file {}: "),
+    ("--lists", "{nope", "bad JSON in {}: "),
+], ids=["bad-graph6", "lists-is-a-directory", "bad-json"])
+def test_unusable_input_file_exits_2(capsys, tmp_path, flag, content, message):
+    gpath, _ = write_instance(tmp_path, cycle_graph(3))
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_text(content)
+    argv = ["--graph", str(bad)] if flag == "--graph" else ["--graph", gpath, "--lists", str(bad)]
+    rc, out, err = run(capsys, "solve", *argv)
+    assert rc == 2 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: " + message.format(bad))
+
+
 def test_solve_bad_lists_dimension(capsys, tmp_path):
     gpath, _ = write_instance(tmp_path, cycle_graph(4))
     lpath = tmp_path / "short.json"

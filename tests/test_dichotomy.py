@@ -30,46 +30,11 @@ from tricrit.graphs import (
 
 from oracles import canonical_form, complete_graph, contains_induced_brute, graphs_upto
 
-TRUTH_TABLE = {
-    "P6": (CASE_SUBGRAPH_OF_P6, True, True),
-    "P5": (CASE_SUBGRAPH_OF_P6, True, True),
-    "P3+P2": (CASE_SUBGRAPH_OF_P6, True, True),
-    "P4+3P1": (CASE_SUBGRAPH_OF_P4_KP1, True, True),
-    "2P3": (CASE_EQUALS_2P3, True, False),
-    "claw": (CASE_CONTAINS_CLAW, False, False),
-    "C3": (CASE_CONTAINS_CYCLE, False, False),
-    "C5": (CASE_CONTAINS_CYCLE, False, False),
-    "C9": (CASE_CONTAINS_CYCLE, False, False),
-    "2P2+P1": (CASE_CONTAINS_2P2_P1, False, False),
-    "P7": (CASE_CONTAINS_2P2_P1, False, False),
-}
-
-
 def _pattern(name: str) -> Graph:
     if "+" in name and name[0] == "P" and not name.startswith("P4+"):
         a, b = name.split("+")
         return disjoint_union(pattern_graph(a), pattern_graph(b))
     return pattern_graph(name)
-
-
-def test_truth_table():
-    for name, (case, fin_crit, fin_obs) in TRUTH_TABLE.items():
-        v = classify(_pattern(name))
-        assert v.case == case, name
-        assert v.finite_vertex_critical is fin_crit, name
-        assert v.finite_list_obstructions is fin_obs, name
-
-
-def test_supergraph_of_infinite_pattern_is_infinite():
-    # gluing anything onto a pattern from the infinite side keeps it there
-    host = disjoint_union(cycle_graph(5), path_graph(3))
-    v = classify(host)
-    assert v.case == CASE_CONTAINS_CYCLE
-    assert not v.finite_vertex_critical and not v.finite_list_obstructions
-    v2 = classify(disjoint_union(pattern_graph("claw"), Graph(2)))
-    assert v2.case == CASE_CONTAINS_CLAW
-    v3 = classify(path_graph(8))
-    assert v3.case == CASE_CONTAINS_2P2_P1
 
 
 def _is_embedding(host: Graph, h: Graph, emb) -> bool:
@@ -144,7 +109,7 @@ def test_classify_dense_pattern_is_quick(g, witness):
 
 
 def test_describe_is_a_sentence():
-    for name in TRUTH_TABLE:
+    for name in ("P6", "P5", "P3+P2", "P4+3P1", "2P3", "claw", "C3", "C5", "C9", "2P2+P1", "P7"):
         text = describe(classify(_pattern(name)))
         assert isinstance(text, str) and text.endswith(".")
         assert "finitely" in text or "infinitely" in text

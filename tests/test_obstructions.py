@@ -28,7 +28,6 @@ from tricrit.obstructions import (
 )
 
 from oracles import (
-    assert_minimal_obstruction_sane,
     brute_l_colorable,
     complete_graph,
     critical_vertices_brute,
@@ -328,13 +327,6 @@ def test_obstruction_report_non_minimal():
     assert not rep.colorable and not rep.minimal
     assert rep.non_critical == (4,)
     assert rep.extracted[0] == (0, 1, 2, 3)
-
-
-def test_family_members_pass_the_sanity_battery():
-    for r in (1, 2, 3, 4):
-        assert_minimal_obstruction_sane(*gen_Hr(r))
-    g = gen_Gr(2)
-    assert_minimal_obstruction_sane(g, ListSystem.full(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,6 @@ def test_prop_config_accessors():
     assert cfg.color(2) == 2
     g = cfg.graph()
     assert g.n == 3 and g.edge_count() == 3
-    for bad in (0, True, 1.0):  # True == 1.0 == 1, so only a type check keeps them out
-        with pytest.raises(ValueError):
-            cfg.color(bad)
     # Any sequence of colours and any iterable of chords give the same
     # hashable value, a repeated chord counted once.
     for same in (PropConfig([1, 2, 3], [(1, 3)]), PropConfig((1, 2, 3), [(1, 3), (1, 3)])):
@@ -82,9 +79,6 @@ def test_shape_examples():
     assert shape(PropConfig((1, 2)), 2) == (2, 1)
     assert shape(PropConfig((1, 2, 3)), 3) == (3, 2)
     assert shape(PropConfig((1, 3, 1)), 3) == (1, 3)
-    for bad in (1, 2.0):
-        with pytest.raises(ValueError):
-            shape(PropConfig((1, 2)), bad)
 
 
 def test_condition1_examples():
@@ -144,14 +138,6 @@ def test_enumeration_result_accessors():
     assert r.max_length == 4
     assert r.count_at(2) == 2
     assert r.total == 7
-    for bad in (0, 6, True, 1.0):
-        with pytest.raises(ValueError):
-            r.count_at(bad)
-
-
-def test_enumerate_p6_prefix():
-    r = enumerate_propagation_paths(["P6"], 5)
-    assert r.counts == (1, 2, 6, 22, 86)
 
 
 def test_enumerate_no_forbidden_n3():
@@ -166,13 +152,6 @@ def test_enumerate_edge_cases():
     assert enumerate_propagation_paths([Graph(0)], 3).counts == (0, 0, 0)
     assert enumerate_propagation_paths(["P1"], 3).counts == (0, 0, 0)
     assert enumerate_propagation_paths(["P7", "2P3"], 4).counts == (1, 2, 6, 22)
-    with pytest.raises(ValueError):
-        enumerate_propagation_paths(["P6"], 65)
-    with pytest.raises(ValueError):
-        enumerate_propagation_paths(["P6"], -1)
-    for max_n, jobs in [(10, 0), (True, 1), (2.0, 1), (5, True), (5, 2.5)]:
-        with pytest.raises(ValueError):
-            enumerate_propagation_paths(["P6"], max_n, jobs=jobs)
 
 
 def test_max_length_examples():
