@@ -59,7 +59,6 @@ def mutants():
 
 def pool_stream():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
-    from reference import P6_COUNTS, check_emitted
     from test_acceptance import P6_STREAM_SHA256
     from test_propagation import MATCHER_STREAMS
 
@@ -80,10 +79,6 @@ def pool_stream():
             yield rc == 0 and not left and got == digest, (
                 f"{what} exits {rc}, leaves {left} in TMPDIR, stream SHA-256 {got[:12]}... "
                 f"(want {digest[:12]}...)")
-            if name == "P6":
-                problems = check_emitted(data.decode(), P6_COUNTS, 1)
-                yield not problems, f"{what} passes bench/reference.check_emitted: " + (
-                    "; ".join(problems[:20]) or "no problems")
 
 
 def bench_smoke():

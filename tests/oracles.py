@@ -6,6 +6,11 @@ containment, and a from-scratch filter for propagation configurations.
 The canonical-form search that builds the graph census, unit propagation
 one vertex at a time and domination live here too, since only the tests
 use them.  None of it shares code with the paths it is used to check.
+
+The paper's own rules (the chord admissibility rule, the P6 count vector
+and the G_r/H_r constructions) are not restated here: the tests take them
+from the benchmark's ``bench/reference.py``, which imports nothing from
+tricrit, and the configuration filter below uses its ``chord_ok``.
 """
 from __future__ import annotations
 
@@ -16,7 +21,8 @@ from typing import Sequence
 
 from tricrit.coloring import ListSystem
 from tricrit.graphs import Graph
-from tricrit.propagation import PropConfig
+
+from reference import chord_ok
 
 # Number of isomorphism classes of simple graphs on 0..8 vertices, the
 # standard census values; used to validate the generated class lists.
@@ -351,35 +357,6 @@ def config_color_seqs(k: int) -> list[tuple[int, ...]]:
     for _ in range(k - 1):
         seqs = [s + [c] for s in seqs for c in (1, 2, 3) if c != s[-1]]
     return [tuple(s) for s in seqs]
-
-
-def chord_ok(cs: tuple[int, ...], i: int, j: int) -> bool:
-    """The admissibility rule, restated independently (1-based i, j)."""
-    if cs[i - 1] in (cs[j - 1], cs[j - 2]):
-        return False
-    if i >= 3:
-        if cs[i - 2] != cs[j - 1]:
-            return False
-        if len({cs[i - 1], cs[j - 1], cs[j - 2]}) != 3:
-            return False
-    return True
-
-
-def parse_emitted_line(line: str) -> PropConfig:
-    """Rebuild a configuration from one line of the emission stream."""
-    parts = line.split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed configuration line: {line!r}")
-    k = int(parts[0])
-    colors = tuple(int(ch) for ch in parts[1])
-    if len(colors) != k:
-        raise ValueError(f"length field {k} disagrees with colors {parts[1]!r}")
-    edges = []
-    if parts[2] != "-":
-        for item in parts[2].split(","):
-            a, b = item.split("-")
-            edges.append((int(a), int(b)))
-    return PropConfig(colors, frozenset(edges))
 
 
 def config_graph(k: int, chords) -> Graph:

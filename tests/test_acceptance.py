@@ -34,6 +34,7 @@ from tricrit.dichotomy import (
 )
 from tricrit.propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
+import reference
 from oracles import (
     assert_minimal_obstruction_sane,
     brute_configs,
@@ -61,7 +62,7 @@ P6_STREAM_SHA256 = "d39362c335dcc3daff32218df6bf257fbb10425f5a320afd60354d57ed4f
 
 
 def test_criterion_1_reference_counts(p6_run, capsys):
-    result, elapsed, _ = p6_run
+    result, elapsed, _, _ = p6_run
     exact = result.counts == P6_REFERENCE_COUNTS
     report(
         capsys,
@@ -81,17 +82,27 @@ def test_criterion_1_reference_counts(p6_run, capsys):
 
 
 def test_criterion_1_emitted_stream(p6_run, capsys):
-    _, _, digest = p6_run
+    _, _, text, digest = p6_run
     report(
         capsys,
         "1",
         digest == P6_STREAM_SHA256,
         f"P6 n=25 emitted stream SHA-256 {digest[:12]}... (want {P6_STREAM_SHA256[:12]}...)",
     )
+    # The benchmark's independent check: sorted unique admissible lines, the
+    # published counts, every truncation present and 400 sampled lines P6-free.
+    problems = reference.check_emitted(text, reference.P6_COUNTS, 1)
+    report(
+        capsys,
+        "1",
+        problems == [],
+        "P6 n=25 emitted stream passes reference.check_emitted: "
+        + ("; ".join(problems[:20]) or "no problems"),
+    )
 
 
 def test_criterion_2_max_length(p6_run, capsys):
-    result, _, _ = p6_run
+    result, _, _, _ = p6_run
     ok = (
         result.max_length == 24
         and result.count_at(24) == 2

@@ -26,9 +26,13 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+def _g6(g: Graph) -> str:
+    return write_graph6(g) + "\n"
+
+
 def write_instance(tmp_path, g, lists=None, stem="g"):
     gpath = tmp_path / f"{stem}.g6"
-    gpath.write_text(write_graph6(g) + "\n")
+    gpath.write_text(_g6(g))
     if lists is None:
         return str(gpath), None
     lpath = tmp_path / f"{stem}.lists.json"
@@ -100,12 +104,6 @@ def test_enumerate_bad_arguments_keep_emit_file(capsys, tmp_path, bad):
     assert out_file.read_text() == "keep\n"
 
 
-def test_enumerate_bad_pattern(capsys):
-    rc, _, err = run(capsys, "enumerate", "--forbidden", "Bogus")
-    assert rc == 2
-    assert "unrecognized pattern name" in err
-
-
 @pytest.mark.parametrize(
     "names", [["P6"], [" P6"], ["P6", "claw"]], ids=["P6", "spaced-P6", "P6+claw"]
 )
@@ -144,65 +142,6 @@ def test_solve_unsat_json(capsys, tmp_path):
     rc, out, _ = run(capsys, "solve", "--graph", gpath, "--lists", lpath, "--format", "json")
     assert rc == 1
     assert json.loads(out) == {"coloring": None}
-
-
-@pytest.mark.parametrize("command", ["solve", "check"])
-@pytest.mark.parametrize(
-    "lists", [[5, [1]], [None, [1]], [[True], [1]], [["1"], [1]]],
-    ids=["int-entry", "null-entry", "true-color", "string-color"],
-)
-def test_malformed_list_entry_exits_2(capsys, tmp_path, command, lists):
-    gpath, _ = write_instance(tmp_path, Graph(2, [(0, 1)]))
-    lpath = tmp_path / "bad.json"
-    lpath.write_text(json.dumps({"n": 2, "lists": lists}))
-    rc, _, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
-    assert rc == 2
-    assert "error" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("command", ["solve", "check"])
-def test_boolean_list_count_exits_2(capsys, tmp_path, command):
-    # JSON true is an int to isinstance(), and True == 1 == len(lists).
-    gpath, _ = write_instance(tmp_path, Graph(1))
-    lpath = tmp_path / "bool.json"
-    lpath.write_text(json.dumps({"n": True, "lists": [[1]]}))
-    rc, _, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
-    assert rc == 2
-    assert "error" in err and "Traceback" not in err
-
-
-def test_solve_missing_file(capsys, tmp_path):
-    rc, _, err = run(capsys, "solve", "--graph", str(tmp_path / "nope.g6"))
-    assert rc == 2 and "error" in err
-
-
-@pytest.mark.parametrize("flag, content, message", [
-    ("--graph", "!!!", "bad graph6 in {}: byte 33 outside graph6 range 63..126 (byte offset 0)\n"),
-    ("--lists", None, "cannot read list file {}: "),
-    ("--lists", "{nope", "bad JSON in {}: "),
-], ids=["bad-graph6", "lists-is-a-directory", "bad-json"])
-def test_unusable_input_file_exits_2(capsys, tmp_path, flag, content, message):
-    gpath, _ = write_instance(tmp_path, cycle_graph(3))
-    bad = tmp_path / "bad"
-    if content is None:
-        bad.mkdir()
-    else:
-        bad.write_text(content)
-    argv = ["--graph", str(bad)] if flag == "--graph" else ["--graph", gpath, "--lists", str(bad)]
-    rc, out, err = run(capsys, "solve", *argv)
-    assert rc == 2 and out == "" and err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("error: " + message.format(bad))
-
-
-def test_solve_bad_lists_dimension(capsys, tmp_path):
-    gpath, _ = write_instance(tmp_path, cycle_graph(4))
-    lpath = tmp_path / "short.json"
-    lpath.write_text(json.dumps({"n": 2, "lists": [[1], [2]]}))
-    for command in ("solve", "check"):
-        rc, out, err = run(capsys, command, "--graph", gpath, "--lists", str(lpath))
-        assert rc == 2 and out == "", command
-        assert err.startswith("error: ") and str(lpath) in err and err.count("\n") == 1
-        assert "Traceback" not in err
 
 
 def test_check_minimal_obstruction(capsys, tmp_path):
@@ -277,16 +216,6 @@ def test_family_errors(capsys):
     assert rc == 2 and "Gr" in choice and "Hr" in choice
 
 
-@pytest.mark.parametrize("command", [
-    "family --name Gr --r 43", "family --name Hr --r 44", "family --name Gr --r 0",
-    "enumerate --forbidden P6 --max-n 65", "enumerate --forbidden P6 --jobs 0",
-])
-def test_out_of_range_flags_exit_2(capsys, command):
-    rc, _, err = run(capsys, *command.split())
-    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 # Gr(42) (127 vertices) and Hr(43) (128, the cap) take graph6's 4-byte "~" header.
 @pytest.mark.parametrize("command", [
     "solve --graph {g2}", "solve --graph {h2} --lists {h2_lists}", "check --graph {g2}",
@@ -323,13 +252,68 @@ def test_classify_by_graph6(capsys):
     assert "case\tcontains-cycle" in out
 
 
-def test_classify_garbage(capsys):
-    rc, _, err = run(capsys, "classify", "--pattern", "\x01bogus")
-    assert rc == 2
-    assert "neither a recognized pattern name nor valid graph6" in err
+# The one table of CLI refusals: each command line exits 2 with nothing on
+# stdout and one stderr line, "error: " and the row's message.  {g} and {l}
+# are the row's graph and list files, written from its texts when it has
+# them; a text of None makes a directory.
+_R = "family parameter r must be an integer in 1.."
+REFUSALS = {
+    "bad-pattern": ("enumerate --forbidden Bogus", {}, "unrecognized pattern name: 'Bogus'"),
+    "missing-graph": ("solve --graph {g}", {}, "cannot read graph file {g}: "),
+    "bad-graph6": ("solve --graph {g}", {"g": "!!!"},
+                   "bad graph6 in {g}: byte 33 outside graph6 range 63..126 (byte offset 0)\n"),
+    "lists-is-a-directory": ("solve --graph {g} --lists {l}", {"g": _g6(cycle_graph(3)), "l": None},
+                             "cannot read list file {l}: "),
+    "bad-json": ("solve --graph {g} --lists {l}", {"g": _g6(cycle_graph(3)), "l": "{nope"},
+                 "bad JSON in {l}: "),
+    "Gr-43": ("family --name Gr --r 43", {}, _R + "42: 43 is out of range"),
+    "Hr-44": ("family --name Hr --r 44", {}, _R + "43: 44 is out of range"),
+    "Gr-0": ("family --name Gr --r 0", {}, _R + "42: 0 is out of range"),
+    "max-n-65": ("enumerate --forbidden P6 --max-n 65", {},
+                 "max_n must be an integer in 0..64: 65 is out of range"),
+    "jobs-0": ("enumerate --forbidden P6 --jobs 0", {},
+               "jobs must be a positive integer: 0 is out of range"),
+    "classify-garbage": ("classify --pattern \x01bogus", {},
+                         "'\\x01bogus' is neither a recognized pattern name nor valid graph6"),
+}
+# List files that solve and check both refuse: (graph, list file, message).
+_P2, _BAD = Graph(2, [(0, 1)]), "bad list system in {l}: "
+_ENTRY = _BAD + "the list of vertex 0 must be a list of colors, got "
+_COLOR = _BAD + "color must be an integer in 1..3: "
+_LIST_FILES = {
+    "int-entry": (_P2, {"n": 2, "lists": [5, [1]]}, _ENTRY + "5"),
+    "null-entry": (_P2, {"n": 2, "lists": [None, [1]]}, _ENTRY + "None"),
+    "true-color": (_P2, {"n": 2, "lists": [[True], [1]]}, _COLOR + "True is out of range"),
+    "string-color": (_P2, {"n": 2, "lists": [["1"], [1]]}, _COLOR + "'1' is out of range"),
+    # JSON true is an int to isinstance(), and True == 1 == len(lists).
+    "boolean-count": (Graph(1), {"n": True, "lists": [[1]]},
+                      _BAD + "n must be an integer in 0..128: True is out of range"),
+    "short-lists": (cycle_graph(4), {"n": 2, "lists": [[1], [2]]},
+                    "list system in {l} has 2 entries, graph has 4"),
+}
+REFUSALS |= {
+    f"{name}-{command}": (command + " --graph {g} --lists {l}",
+                          {"g": _g6(g), "l": json.dumps(lists)}, message)
+    for command in ("solve", "check") for name, (g, lists, message) in _LIST_FILES.items()
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals_exit_2_with_one_error_line(capsys, tmp_path, name):
+    argv, texts, message = REFUSALS[name]
+    paths = {"g": tmp_path / "g.g6", "l": tmp_path / "lists.json"}
+    for key, text in texts.items():
+        if text is None:
+            paths[key].mkdir()
+        else:
+            paths[key].write_text(text)
+    rc, out, err = run(capsys, *argv.format(**paths).split())
+    assert rc == 2 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: " + message.format(**paths))
 
 
 def test_argparse_failures_exit_2(capsys):
+    # argparse refuses these itself, with a usage message, not one error line.
     rc, _, _ = run(capsys, "no-such-command")
     assert rc == 2
     rc, _, _ = run(capsys, "enumerate", "--format", "yaml")

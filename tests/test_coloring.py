@@ -34,6 +34,8 @@ def test_list_system_basics():
     assert l.size(2) == 0
     assert l.to_sets() == [(1, 2), (3,), ()]
     assert ListSystem.full(2).to_sets() == [(1, 2, 3), (1, 2, 3)]
+    assert eval(repr(l)) == l
+    assert hash(ListSystem([3, 4, 0])) == hash(l)
 
 
 def test_lists_json_round_trip():
@@ -59,6 +61,8 @@ def test_l_colorable_examples():
     assert l_colorable(cycle_graph(5), ListSystem.from_sets([(1, 2)] * 5)) is None
     g0 = Graph(0)
     assert l_colorable(g0, ListSystem.full(0)) == ()
+    with pytest.raises(ValueError, match="2 entries for a 3-vertex graph"):
+        l_colorable(path_graph(3), ListSystem.full(2))
 
 
 def test_l_colorable_respects_lists_and_edges():
@@ -189,6 +193,8 @@ def test_update_along_path_contract():
     # a negative index must not wrap around, past the first vertex too
     with pytest.raises(ValueError, match="out of range"):
         update_along_path(g, l, [0, 1, -1], 1)
+    with pytest.raises(ValueError, match="2 entries for a 3-vertex graph"):
+        update_along_path(g, ListSystem.full(2), [0, 1, 2], 1)
 
 
 def test_update_along_obstruction_backbone():

@@ -13,19 +13,18 @@ from tricrit.graphs import (
     pattern_graph,
 )
 
-from oracles import complete_graph, relabel
+from oracles import relabel
+from reference import chorded_path_hr, circulant_gr
 
 
-def test_gen_Gr_smallest_is_k4():
-    assert gen_Gr(1) == complete_graph(4)
-
-
-def test_gen_Gr_structure():
-    g = gen_Gr(5)
-    assert g.n == 16
-    assert g.edge_count() == 56
-    assert all(g.degree(v) == 7 for v in range(16))
-    assert g.neighbors(0) == [1, 2, 5, 8, 11, 14, 15]
+def test_families_match_the_reference_constructions():
+    # Every member the package builds, from G_1 = K4 and H_1 = one forced
+    # edge up to the 127- and 128-vertex members at the vertex cap.
+    for r in range(1, 43):
+        assert gen_Gr(r) == Graph(*circulant_gr(r)), r
+    for r in range(1, 44):
+        n, edges, lists = chorded_path_hr(r)
+        assert gen_Hr(r) == (Graph(n, edges), ListSystem.from_sets(lists)), r
 
 
 def test_gen_Gr_is_shift_invariant():
@@ -59,10 +58,6 @@ def test_gen_Gr_vertex_zero_decides_containment():
     assert seen == {True, False}
 
 
-def test_gen_Gr_bounds():
-    assert gen_Gr(42).n == 127
-
-
 def test_verify_Gr_reports():
     rep = verify_Gr(1)
     assert isinstance(rep, FamilyReport)
@@ -94,35 +89,6 @@ def test_verify_Gr_30_passes():
     ]
 
 
-def test_gen_Hr_smallest_is_one_forced_edge():
-    g, l = gen_Hr(1)
-    assert g.n == 2 and g.edges() == [(0, 1)]
-    assert l.to_sets() == [(1,), (1,)]
-
-
-def test_gen_Hr_structure():
-    g, l = gen_Hr(5)
-    assert g.n == 14
-    chords = sorted((a + 1, b + 1) for a, b in g.edges() if b - a > 1)
-    assert chords == [
-        (2, 4),
-        (2, 7),
-        (2, 10),
-        (2, 13),
-        (5, 7),
-        (5, 10),
-        (5, 13),
-        (8, 10),
-        (8, 13),
-        (11, 13),
-    ]
-    assert (2, 6) not in chords
-    assert l.to_sets()[0] == (1,) and l.to_sets()[-1] == (1,)
-    for p in range(2, 14):  # interior, 1-based
-        want = {0: (2, 3), 1: (1, 3), 2: (1, 2)}[p % 3]
-        assert l.to_sets()[p - 1] == want
-
-
 def test_gen_Hr_recursion():
     # cutting the first three path vertices off one member leaves the
     # previous member's graph (lists differ only at the fresh endpoint)
@@ -131,10 +97,6 @@ def test_gen_Hr_recursion():
         small, _ = gen_Hr(r - 1)
         assert induced_subgraph(big, range(3, big.n)) == small
         assert induced_subgraph(big, range(0, big.n - 3)) == small
-
-
-def test_gen_Hr_bounds():
-    assert gen_Hr(43)[0].n == 128
 
 
 def test_verify_Hr_reports():

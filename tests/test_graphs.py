@@ -73,6 +73,7 @@ def test_basic_accessors():
     assert g.degree(0) == 2
     assert g.neighbors(0) == [1, 4]
     assert g.has_edge(4, 0) and not g.has_edge(0, 2)
+    assert eval(repr(g)) == g
 
 
 def test_induced_subgraph_examples():

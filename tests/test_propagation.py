@@ -28,7 +28,8 @@ from tricrit.propagation import (
     shape,
 )
 
-from oracles import chord_ok, dfs_stream_uncached, parse_emitted_line
+from oracles import dfs_stream_uncached
+from reference import P6_COUNTS, chord_ok
 
 
 def test_prop_config_validation():
@@ -98,7 +99,7 @@ def test_admissible_edge_examples():
 
 def test_admissible_edge_matches_independent_restatement():
     # every color sequence of length 3..9, every chord: the library
-    # predicate (the search's own rule) and the test-local restatement agree
+    # predicate (the search's own rule) and the benchmark's restatement agree
     import itertools
 
     for k in range(3, 10):
@@ -280,7 +281,6 @@ def test_emit_to_path(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == r.total == 31
     assert lines[0] == "1 1 -"
-    assert parse_emitted_line(lines[0]) == PropConfig((1,))
 
 
 def test_unwritable_emit_path_fails_before_search(search_calls, tmp_path):
@@ -399,6 +399,5 @@ def test_bare_string_is_not_a_pattern_collection(tmp_path):
 
 
 def test_reference_counts_shape():
-    assert len(P6_REFERENCE_COUNTS) == 25
-    assert P6_REFERENCE_COUNTS[-1] == 0
-    assert sum(P6_REFERENCE_COUNTS) == 49605
+    # The package's vector is the published one, as the benchmark restates it.
+    assert P6_REFERENCE_COUNTS == P6_COUNTS
