@@ -17,14 +17,25 @@ from oracles import relabel
 from reference import chorded_path_hr, circulant_gr
 
 
-def test_families_match_the_reference_constructions():
-    # Every member the package builds, from G_1 = K4 and H_1 = one forced
-    # edge up to the 127- and 128-vertex members at the vertex cap.
+def test_gen_Gr_structure():
+    # Every member the package builds, from G_1 = K4 up to the cap.
     for r in range(1, 43):
         assert gen_Gr(r) == Graph(*circulant_gr(r)), r
+
+
+def test_gen_Gr_bounds():
+    assert gen_Gr(42).n == 127
+
+
+def test_gen_Hr_structure():
+    # Every member, graph and lists, from H_1 = one forced edge up to the cap.
     for r in range(1, 44):
         n, edges, lists = chorded_path_hr(r)
         assert gen_Hr(r) == (Graph(n, edges), ListSystem.from_sets(lists)), r
+
+
+def test_gen_Hr_bounds():
+    assert gen_Hr(43)[0].n == 128
 
 
 def test_gen_Gr_is_shift_invariant():
