@@ -133,12 +133,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     text = args.pattern
     try:
         target = parse_pattern(text)
-    except ValueError:
+    except ValueError as e:
         try:
             target = parse_graph6(text)
         except Graph6Error:
             raise ValueError(
-                f"{text!r} is neither a recognized pattern name nor valid graph6"
+                f"{text!r} is neither a recognized pattern name nor valid graph6: {e}"
             )
     verdict = classify(target)
     summary = describe(verdict)

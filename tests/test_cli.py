@@ -275,6 +275,12 @@ REFUSALS = {
                "jobs must be a positive integer: 0 is out of range"),
     "classify-garbage": ("classify --pattern \x01bogus", {},
                          "'\\x01bogus' is neither a recognized pattern name nor valid graph6"),
+    "classify-P13": ("classify --pattern P13", {}, "'P13' is neither a recognized pattern name "
+                     "nor valid graph6: path pattern out of supported range P1..P12: P13"),
+    "classify-C2": ("classify --pattern C2", {}, "'C2' is neither a recognized pattern name "
+                    "nor valid graph6: cycle pattern out of supported range C3..C12: C2"),
+    "classify-P4+200P1": ("classify --pattern P4+200P1", {}, "'P4+200P1' is neither a recognized "
+                          "pattern name nor valid graph6: unsupported parameter in pattern P4+200P1"),
 }
 # List files that solve and check both refuse: (graph, list file, message).
 _P2, _BAD = Graph(2, [(0, 1)]), "bad list system in {l}: "

@@ -4,7 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tricrit.coloring import FULL_MASK, ListSystem, _l_colorable, l_colorable
 from tricrit.families import gen_Gr, gen_Hr
@@ -99,25 +98,25 @@ def test_extract_minimal_is_deterministic():
     assert extract_minimal(g, l) == extract_minimal(g, l)
 
 
-@given(st.integers(0, 2**28), st.integers(1, 8))
-@settings(max_examples=120, deadline=None)
-def test_extract_minimal_output_is_minimal(seed, n):
-    rng = random.Random(seed)
-    g = random_graph(rng, n, 0.6)
-    l = random_lists(rng, n, allow_empty=True)
-    if l_colorable(g, l) is not None:
-        return
-    verts, core, core_l = extract_minimal(g, l)
-    assert verts == extract_minimal_restart(g, l)
-    assert obstruction_report(g, l).extracted == (verts, core, core_l)
-    assert core == induced_subgraph(g, verts)
-    assert set(verts) <= set(range(n))
-    assert core.n == len(verts)
-    for a, b in zip(verts, verts[1:]):
-        assert a < b
-    assert is_minimal_obstruction(core, core_l)
-    for idx, v in enumerate(verts):
-        assert core_l.masks[idx] == l.masks[v]
+def test_extract_minimal_output_is_minimal():
+    for seed in range(120):
+        n = 1 + seed % 8
+        rng = random.Random(seed)
+        g = random_graph(rng, n, 0.6)
+        l = random_lists(rng, n, allow_empty=True)
+        if l_colorable(g, l) is not None:
+            continue
+        verts, core, core_l = extract_minimal(g, l)
+        assert verts == extract_minimal_restart(g, l)
+        assert obstruction_report(g, l).extracted == (verts, core, core_l)
+        assert core == induced_subgraph(g, verts)
+        assert set(verts) <= set(range(n))
+        assert core.n == len(verts)
+        for a, b in zip(verts, verts[1:]):
+            assert a < b
+        assert is_minimal_obstruction(core, core_l)
+        for idx, v in enumerate(verts):
+            assert core_l.masks[idx] == l.masks[v]
 
 
 def padded(rng, g, l, pads, degree=2):
@@ -230,24 +229,24 @@ def analysis_instance(rng, n):
     return padded(rng, *core, rng.randint(0, 3), rng.choice((2, 2, 3)))[:2]
 
 
-@given(st.integers(0, 2**28), st.integers(0, 9))
-@settings(max_examples=200, deadline=None)
-def test_analysis_agrees_with_brute(seed, n):
-    g, l = analysis_instance(random.Random(seed), n)
-    if brute_l_colorable(g, l) is not None:
-        with pytest.raises(ValueError):
-            critical_vertices(g, l)
-        assert not is_minimal_obstruction(g, l)
-        assert obstruction_report(g, l).colorable
-        return
-    crit = critical_vertices_brute(g, l)
-    assert critical_vertices(g, l) == crit
-    assert is_minimal_obstruction(g, l) == (len(crit) == g.n)
-    assert not _peel(g, l) & sum(1 << v for v in crit)
-    rep = obstruction_report(g, l)
-    assert rep.non_critical == tuple(v for v in range(g.n) if v not in crit)
-    assert rep.minimal == (len(crit) == g.n)
-    assert rep.extracted[0] == extract_minimal_restart(g, l)
+def test_analysis_agrees_with_brute():
+    for seed in range(200):
+        n = seed % 10
+        g, l = analysis_instance(random.Random(seed), n)
+        if brute_l_colorable(g, l) is not None:
+            with pytest.raises(ValueError):
+                critical_vertices(g, l)
+            assert not is_minimal_obstruction(g, l)
+            assert obstruction_report(g, l).colorable
+            continue
+        crit = critical_vertices_brute(g, l)
+        assert critical_vertices(g, l) == crit
+        assert is_minimal_obstruction(g, l) == (len(crit) == g.n)
+        assert not _peel(g, l) & sum(1 << v for v in crit)
+        rep = obstruction_report(g, l)
+        assert rep.non_critical == tuple(v for v in range(g.n) if v not in crit)
+        assert rep.minimal == (len(crit) == g.n)
+        assert rep.extracted[0] == extract_minimal_restart(g, l)
 
 
 def _colorable_without(g, l, dead):
@@ -266,16 +265,16 @@ def test_colorable_without_counts_only_live_empty_lists():
     assert _colorable_without(g, l, 0b010)
 
 
-@given(st.integers(0, 2**28), st.integers(0, 9))
-@settings(max_examples=150, deadline=None)
-def test_colorable_without_agrees_with_brute(seed, n):
-    rng = random.Random(seed)
-    g = random_graph(rng, n, rng.random())
-    l = ListSystem([7 if rng.random() < 0.5 else rng.randint(0, 7) for _ in range(n)])
-    dead = rng.getrandbits(n)
-    keep = [v for v in range(n) if not dead >> v & 1]
-    sub = induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep)
-    assert _colorable_without(g, l, dead) == (brute_l_colorable(*sub) is not None)
+def test_colorable_without_agrees_with_brute():
+    for seed in range(150):
+        n = seed % 10
+        rng = random.Random(seed)
+        g = random_graph(rng, n, rng.random())
+        l = ListSystem([7 if rng.random() < 0.5 else rng.randint(0, 7) for _ in range(n)])
+        dead = rng.getrandbits(n)
+        keep = [v for v in range(n) if not dead >> v & 1]
+        sub = induced_subgraph(g, keep), ListSystem(l.masks[v] for v in keep)
+        assert _colorable_without(g, l, dead) == (brute_l_colorable(*sub) is not None)
 
 
 def test_dominates():
