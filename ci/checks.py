@@ -8,6 +8,7 @@ Each check prints a PASS or FAIL line; the exit code is 1 if any failed."""
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -42,19 +43,25 @@ def mutants():
     if problems := mutant_problems():
         yield from ((False, problem) for problem in problems)
         return
-    for module, old, new, test in MUTANTS:
-        path = ROOT / "src/tricrit" / module
-        original = path.read_text()
-        try:
+    # Each mutant goes into a copy of the checkout, so a run killed midway
+    # leaves the checkout as it was.
+    with tempfile.TemporaryDirectory() as copy:
+        for part in ("src", "tests", "ci", "bench"):
+            shutil.copytree(ROOT / part, Path(copy, part),
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        for module, old, new, test in MUTANTS:
+            path = Path(copy, "src/tricrit", module)
+            original = path.read_text()
             path.write_text(original.replace(old, new))
             rc = subprocess.run([sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p",
-                                 "no:cacheprovider", f"tests/{test}"], cwd=ROOT,
+                                 "no:cacheprovider", f"tests/{test}"], cwd=copy,
                                 stdout=subprocess.DEVNULL).returncode
-        finally:
             path.write_text(original)
-        # Only exit 1, tests failed, kills a mutant, not a usage or collection
-        # error; -B keeps the mutant's bytecode out of __pycache__.
-        yield rc == 1, f"tests/{test} exits {rc} with {old!r} -> {new!r} in src/tricrit/{module}"
+            # Only exit 1, tests failed, kills a mutant, not a usage or collection
+            # error; -B keeps the mutant's bytecode out of __pycache__.
+            yield rc == 1, (f"tests/{test} exits {rc} with {old!r} -> {new!r} "
+                            f"in src/tricrit/{module}")
 
 
 def pool_stream():
@@ -85,7 +92,11 @@ def bench_smoke():
     for workload in ("p6", "pattern_obstruct"):
         proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                                "--seconds", "1"], cwd=ROOT, stdout=subprocess.PIPE, text=True)
-        r = json.loads(proc.stdout.splitlines()[-1]) if proc.stdout else {}
+        try:
+            r = json.loads(proc.stdout.splitlines()[-1])
+        except (IndexError, ValueError):  # no stdout, or a last line that is not JSON
+            r = {}
+        r = r if isinstance(r, dict) else {}
         yield proc.returncode == 0 and r.get("correct") is True and r.get("failed") == 0, (
             f"bench/run.py --workload {workload} --seconds 1 exits {proc.returncode}, "
             f"correct {r.get('correct')}, failed {r.get('failed')}")

@@ -40,10 +40,11 @@ P6_REFERENCE_COUNTS = (
 
 MAX_ENUM_LENGTH = 64
 _HARD_LIMIT = 128
-# The driver leaves the subtrees below this length to _worker.
+# The driver leaves the subtrees below this length to one _grow call each.
 _SPLIT_DEPTH = 6
 
 _OTHERS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+_SWAP_2_3 = str.maketrans("23", "32")
 
 
 class ResourceLimitError(RuntimeError):
@@ -151,14 +152,49 @@ class EnumerationResult:
         return sum(self.counts)
 
 
-class _Engine:
-    """Depth-first enumeration with incremental pattern checks.
+def _grow(searches, max_n, collect, split, task):
+    """Counts, lines and left-over tasks of the subtree below ``task``.
 
-    A configuration is its colors and its adjacency bitmask rows; its
-    chords are the bits j >= i + 2 of ``rows[i]``.  Configurations of
-    length ``stop_depth`` are not extended; below ``max_n`` they are left
-    in ``tasks`` for :func:`_worker`.  A new vertex is checked against
-    each of ``searches``, one :class:`PatternSearch` per forbidden pattern.
+    ``task`` is an accepted configuration, its colors and its adjacency
+    bitmask rows, whose chords are the bits j >= i + 2 of ``rows[i]``.
+    One loop over a stack of :func:`_extensions` grows it depth first up
+    to length ``max_n``; a configuration of length ``split`` below
+    ``max_n`` is not grown but returned in ``left``.  Each accept of
+    length k >= 2 also stands for its 2<->3 twin: ``counts`` include the
+    twins, and ``lines[k - 1]`` holds the final text of both.
+    """
+    colors, rows = map(list, task)
+    counts = [0] * max_n
+    lines: list[list[str]] = [[] for _ in range(max_n)]
+    left: list[tuple] = []
+    # witnesses[j]: the witnesses (m, r) whose m has highest vertex j.
+    witnesses: list[list[tuple[int, int]]] = [[] for _ in range(max_n)]
+    stack = [_extensions(searches, witnesses, colors, rows)] if len(colors) < max_n else []
+    while stack:
+        n = next(stack[-1], 0)
+        if not n:
+            stack.pop()
+            continue
+        counts[n - 1] += 2
+        if n >= _HARD_LIMIT:
+            raise ResourceLimitError(f"configurations reach length {n}; the search looks unbounded")
+        if collect:
+            cs = "".join(map(str, colors))
+            es = ",".join(
+                [_chord_text(i, row >> i + 2) for i, row in enumerate(rows) if row >> i + 2]
+            ) or "-"
+            lines[n - 1] += (f"{n} {cs} {es}\n", f"{n} {cs.translate(_SWAP_2_3)} {es}\n")
+        if n == split < max_n:
+            left.append((tuple(colors), tuple(rows)))
+        elif n < max_n:
+            stack.append(_extensions(searches, witnesses, colors, rows))
+    return counts, lines, left
+
+
+def _extensions(searches, witnesses, colors, rows):
+    """Extend ``colors`` and ``rows`` in place to each accepted child in
+    turn, and yield its length; a new vertex is checked against each of
+    ``searches``, one :class:`PatternSearch` per forbidden pattern.
 
     Every copy found is kept as a witness for as long as its rows are.  A
     search returns the copy's vertex mask W, which holds the new vertex x;
@@ -173,97 +209,51 @@ class _Engine:
     the new vertex can have.  This holds for any pattern and any mix of
     patterns, and drops only candidates that really hold a copy, so the
     counts and the emitted lines are those of a search of every subset.
-    Each accept of length k >= 2 also stands for its 2<->3 twin: ``counts``
-    include the twins, and ``lines[k - 1]`` holds the final text of both.
     """
-
-    _SWAP_2_3 = str.maketrans("23", "32")
-
-    def __init__(self, searches, max_n, collect, stop_depth):
-        self.searches = searches
-        self.max_n = max_n
-        self.counts = [0] * max_n
-        self.collect = collect
-        self.lines: list[list[str]] = [[] for _ in range(max_n)]
-        self.stop_depth = stop_depth
-        self.tasks: list[tuple] = []  # (colors, adjacency rows)
-        # witnesses[j]: the witnesses (m, r) whose m has highest vertex j.
-        self.witnesses: list[list[tuple[int, int]]] = [[] for _ in range(max_n)]
-
-    def run_root(self):
-        if self.max_n and not any(s.through([0], 1, 0) for s in self.searches):
-            self.counts[0] += 1
-            if self.collect:
-                self.lines[0].append("1 1 -\n")
-            self._extend([1], [0])
-
-    def _emit(self, colors, rows):
-        k = len(colors)
-        cs = "".join(map(str, colors))
-        es = ",".join(
-            [_chord_text(i, row >> i + 2) for i, row in enumerate(rows) if row >> i + 2]
-        ) or "-"
-        self.lines[k - 1] += (f"{k} {cs} {es}\n", f"{k} {cs.translate(self._SWAP_2_3)} {es}\n")
-
-    def _extend(self, colors, rows):
-        k = len(colors)
-        if k == self.stop_depth:
-            if k < self.max_n:
-                self.tasks.append((tuple(colors), tuple(rows)))
-            return
-        kbit = 1 << k
-        counts = self.counts
-        searches = self.searches
-        witnesses = self.witnesses
-        alive = (kbit << 1) - 1
-        rows[k - 1] |= kbit
-        # c(v_2) = 3 is the 2<->3 twin of c(v_2) = 2, counted with it.
-        for alpha in (2,) if k == 1 else _OTHERS[colors[-1]]:
-            adm = _chord_starts(colors, alpha)
-            colors.append(alpha)
-            rows.append(1 << (k - 1))
-            n = k + 1
-            # The row of x lies inside reach, so only these witnesses can
-            # match; see the class docstring.
-            reach = 1 << (k - 1)
-            for i0 in adm:
-                reach |= 1 << i0
-            seen = [w for ws in witnesses[:k] for w in ws if not w[1] & ~reach]
-            # Chord subsets in Gray-code order: one chord flips per subset,
-            # and the last subset still holds one chord, cleared below.
-            for sub in range(1 << len(adm)):
-                if sub:
-                    i0 = adm[(sub & -sub).bit_length() - 1]
-                    rows[i0] ^= kbit
-                    rows[k] ^= 1 << i0
-                new = rows[k]
-                for m, r in seen:
-                    if new & m == r:
+    k = len(colors)
+    kbit = 1 << k
+    alive = (kbit << 1) - 1
+    n = k + 1
+    rows[k - 1] |= kbit
+    # c(v_2) = 3 is the 2<->3 twin of c(v_2) = 2, counted with it.
+    for alpha in (2,) if k == 1 else _OTHERS[colors[-1]]:
+        adm = _chord_starts(colors, alpha)
+        colors.append(alpha)
+        rows.append(1 << (k - 1))
+        # The row of x lies inside reach, so only these witnesses can
+        # match; see the docstring.
+        reach = 1 << (k - 1)
+        for i0 in adm:
+            reach |= 1 << i0
+        seen = [w for ws in witnesses[:k] for w in ws if not w[1] & ~reach]
+        # Chord subsets in Gray-code order: one chord flips per subset,
+        # and the last subset still holds one chord, cleared below.
+        for sub in range(1 << len(adm)):
+            if sub:
+                i0 = adm[(sub & -sub).bit_length() - 1]
+                rows[i0] ^= kbit
+                rows[k] ^= 1 << i0
+            new = rows[k]
+            for m, r in seen:
+                if new & m == r:
+                    break
+            else:
+                for search in searches:
+                    found = search.through(rows, alive, k)
+                    if found:
+                        m = found ^ kbit
+                        w = (m, new & m)
+                        seen.append(w)
+                        witnesses[m.bit_length() - 1].append(w)
                         break
                 else:
-                    for search in searches:
-                        found = search.through(rows, alive, k)
-                        if found:
-                            m = found ^ kbit
-                            w = (m, new & m)
-                            seen.append(w)
-                            witnesses[m.bit_length() - 1].append(w)
-                            break
-                    else:
-                        counts[k] += 2
-                        if n >= _HARD_LIMIT:
-                            raise ResourceLimitError(
-                                f"configurations reach length {n}; the search looks unbounded"
-                            )
-                        if self.collect:
-                            self._emit(colors, rows)
-                        self._extend(colors, rows)
-                        witnesses[k].clear()
-            for i0 in adm:
-                rows[i0] &= ~kbit
-            rows.pop()
-            colors.pop()
-        rows[k - 1] &= ~kbit
+                    yield n
+                    witnesses[k].clear()
+        for i0 in adm:
+            rows[i0] &= ~kbit
+        rows.pop()
+        colors.pop()
+    rows[k - 1] &= ~kbit
 
 
 @lru_cache(maxsize=1024)
@@ -271,14 +261,6 @@ def _chord_text(i, high):
     """The chords (v_{i+1}, v_j) of row i in the stream's text, 1-based:
     ``high`` is the row shifted right by i + 2, so its bit b is v_{i+b+3}."""
     return ",".join(f"{i + 1}-{i + b + 3}" for b in bits(high))
-
-
-def _worker(searches, max_n, collect, task):
-    """Counts and lines of the whole subtree below one task."""
-    colors, rows = task
-    eng = _Engine(searches, max_n, collect, max_n)
-    eng._extend(list(colors), list(rows))
-    return eng.counts, eng.lines
 
 
 def enumerate_propagation_paths(
@@ -325,9 +307,10 @@ def max_propagation_length(forbidden: Iterable) -> int:
 
 
 def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
-    """The search behind both entry points: one driver down to length
-    ``_SPLIT_DEPTH``, then its tasks through :func:`_worker`, in this
-    process for one job and on a process pool for more.
+    """The search behind both entry points: the one-vertex configuration,
+    :func:`_grow` from it down to length ``_SPLIT_DEPTH``, then
+    :func:`_grow` below each configuration it left there, in this process
+    for one job and on a process pool for more.
 
     The driver's result and each task's, in the order they arrive, are
     folded in at once: the counts are added and the lines appended to one
@@ -351,12 +334,16 @@ def _enumerate(forbidden, max_n, emit, jobs) -> EnumerationResult:
         pool = None
         if jobs > 1:
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
-        driver = _Engine(searches, max_n, collect, min(_SPLIT_DEPTH, max_n))
-        driver.run_root()
-        run = partial(_worker, searches, max_n, collect)
-        tasks = driver.tasks
+        driver = ((), (), ())
+        if max_n and not any(s.through([0], 1, 0) for s in searches):
+            counts[0] = 1
+            if collect:
+                spills[0].write("1 1 -\n")
+            driver = _grow(searches, max_n, collect, _SPLIT_DEPTH, ((1,), (0,)))
+        run = partial(_grow, searches, max_n, collect, 0)
+        tasks = driver[2]
         results = pool.imap_unordered(run, tasks, chunksize=8) if pool else map(run, tasks)
-        for tcounts, tlines in chain([(driver.counts, driver.lines)], results):
+        for tcounts, tlines, _ in chain([driver], results):
             for i, c in enumerate(tcounts):
                 counts[i] += c
             for spill, lines in zip(spills, tlines):

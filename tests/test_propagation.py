@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import multiprocessing
 import os
@@ -166,9 +167,16 @@ def test_max_length_examples():
 @pytest.mark.parametrize("names", [[], ["claw"], ["C3"]], ids=["none", "claw", "C3"])
 def test_unbounded_search_raises_resource_limit(names):
     # The chordless path avoids each of these, and the search follows it.
-    with pytest.raises(ResourceLimitError, match="^configurations reach length 128; "
-                       "the search looks unbounded$"):
-        max_propagation_length(names)
+    # It takes no Python frame per length, so 50 frames above this one do.
+    limit = sys.getrecursionlimit()
+    for low in (limit, len(inspect.stack(0)) + 50):
+        sys.setrecursionlimit(low)
+        try:
+            with pytest.raises(ResourceLimitError, match="^configurations reach length 128; "
+                               "the search looks unbounded$"):
+                max_propagation_length(names)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 # The emitted streams of the generic matcher, pinned by line count and
