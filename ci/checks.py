@@ -26,6 +26,7 @@ MUTANTS = [
     ("graphs.py", "0 <= u < n and", "0 <= u <= n and", "test_graphs.py"),
     ("graphs.py", "cand &= ~prows[j]", "pass", "test_graphs.py"),
     ("graphs.py", "(used | acc | rows[anchor])", "(used | acc)", "test_graphs.py"),
+    ("graphs.py", "h.n > 1 and is_tree", "h.n > 0 and is_tree", "test_graphs.py"),
     ("obstructions.py", " and not _peel(g, l) and _critical(g, l, 0) == (1 << g.n) - 1", "",
      "test_obstructions.py"),
 ]

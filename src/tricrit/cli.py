@@ -17,7 +17,7 @@ import sys
 from .coloring import ListSystem, l_colorable, lists_from_json, lists_to_json
 from .dichotomy import classify, describe
 from .families import gen_Gr, gen_Hr, verify_Gr, verify_Hr
-from .graphs import Graph, Graph6Error, parse_graph6, parse_pattern, write_graph6
+from .graphs import Graph, Graph6Error, parse_graph6, parse_pattern, path_graph, write_graph6
 from .obstructions import is_4_vertex_critical, obstruction_report
 from .propagation import P6_REFERENCE_COUNTS, enumerate_propagation_paths
 
@@ -73,7 +73,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     _print(args, {"counts": list(result.counts), "max_length": result.max_length},
            [f"{k}\t{c}" for k, c in enumerate(result.counts, 1)]
            + [f"max_length\t{result.max_length}"])
-    if [name.strip() for name in args.forbidden] != ["P6"]:
+    if list(map(parse_pattern, args.forbidden)) != [path_graph(6)]:
         return 0
     pairs = enumerate(zip(result.counts, P6_REFERENCE_COUNTS), 1)
     bad = [(k, got, want) for k, (got, want) in pairs if got != want]

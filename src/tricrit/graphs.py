@@ -263,10 +263,10 @@ def _match_plan(h: Graph, start: int) -> tuple[tuple, ...]:
 class PatternSearch:
     """The anchored check for one pattern, built once per pattern.
 
-    A path goes to the walker :func:`_arm`; any other pattern goes to the
-    matcher :func:`_embed`, once per orbit of Aut(H), with the orbit's
-    lowest vertex on the anchor: a copy with p on the anchor, composed with
-    an automorphism that maps q to p, has q there.
+    A path on two or more vertices goes to the walker :func:`_arm`; any
+    other pattern goes to the matcher :func:`_embed`, once per orbit of
+    Aut(H), with the orbit's lowest vertex on the anchor: a copy with p on
+    the anchor, composed with an automorphism that maps q to p, has q there.
     Vertex p is decided the first time the search reaches it: it joins the
     orbit of an earlier kept q of its degree iff ``_embed`` embeds H into
     itself with q on p, since an induced self-embedding is an automorphism.
@@ -279,8 +279,11 @@ class PatternSearch:
     __slots__ = ("h", "path", "orders")
 
     def __init__(self, h):
-        self.h = pattern_graph(h)
-        self.path = _as_path_length(self.h)
+        self.h = h = pattern_graph(h)
+        # t for a path on t >= 2 vertices, else None: P1 and the empty
+        # pattern take the matcher, which answers both with the anchor's bit.
+        is_tree = h.edge_count() == h.n - 1 and len(components(h)) == 1
+        self.path = h.n if h.n > 1 and is_tree and max(map(int.bit_count, h.rows)) <= 2 else None
         # orders[p] is None until p is decided, then the match plan that
         # starts at p if p represents its orbit, else False.  The empty
         # pattern has one empty plan, so every anchor holds a copy.
@@ -296,8 +299,10 @@ class PatternSearch:
         mask as a witness: any graph that agrees with these rows on the
         mask's vertices contains the same copy.
         """
-        if self.path is not None:
-            return has_induced_path_through(rows, alive, anchor, self.path)
+        t = self.path
+        if t is not None:
+            return _arm(rows, anchor, t, anchor, 1 << anchor, 1, (t + 2) // 2,
+                        (1 << len(rows)) - 1 ^ alive)
         image = self.embedding(rows, alive, anchor)
         if image is None:
             return 0
@@ -407,28 +412,10 @@ def contains_induced(g: Graph, h) -> bool:
     return not h.n or any(search.through(g.rows, full >> v << v, v) for v in range(g.n))
 
 
-def _as_path_length(h: Graph) -> int | None:
-    """If h is a path, its vertex count, else None."""
-    is_tree = h.edge_count() == h.n - 1 and len(components(h)) == 1
-    return h.n if is_tree and max(map(int.bit_count, h.rows)) <= 2 else None
-
-
 def has_induced_path(g: Graph, t: int) -> bool:
     """Does ``g`` contain an induced path on ``t`` vertices?"""
     check_int(t, 1, what="path length")
     return t <= g.n and contains_induced(g, path_graph(t))
-
-
-def has_induced_path_through(rows: Sequence[int], alive: int, anchor: int, t: int) -> int:
-    """The vertex mask of an induced path on ``t`` vertices among ``alive``
-    that uses vertex ``anchor``, or 0 if there is none.
-
-    The path check of :class:`PatternSearch`.  The mask is exactly the
-    path's t vertices, so it stays a witness wherever the rows agree on them.
-    """
-    if t < 2:
-        return 1 << anchor if t == 1 else 0
-    return _arm(rows, anchor, t, anchor, 1 << anchor, 1, (t + 2) // 2, (1 << len(rows)) - 1 ^ alive)
 
 
 def _arm(rows: Sequence[int], anchor: int, t: int, end: int, used: int, m: int,

@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: exhaustive products over colorings,
 permutation backtracking for isomorphism, subset enumeration for induced
-containment, and a from-scratch filter for propagation configurations.
+containment, and a from-scratch growth of propagation configurations.
 The canonical-form search that builds the graph census, unit propagation
 one vertex at a time and domination live here too, since only the tests
 use them.  None of it shares code with the paths it is used to check.
@@ -10,14 +10,14 @@ use them.  None of it shares code with the paths it is used to check.
 The paper's own rules (the chord admissibility rule, the P6 count vector
 and the G_r/H_r constructions) are not restated here: the tests take them
 from the benchmark's ``bench/reference.py``, which imports nothing from
-tricrit, and the configuration filter below uses its ``chord_ok``.
+tricrit, and the configuration growth below uses its ``chord_ok``.
 """
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from tricrit.coloring import ListSystem
 from tricrit.graphs import Graph
@@ -352,50 +352,19 @@ def propagate_reference(g: Graph, l: ListSystem) -> tuple[ListSystem, frozenset[
 # propagation configurations, from scratch
 
 
-def config_color_seqs(k: int) -> list[tuple[int, ...]]:
-    seqs: list[list[int]] = [[1]]
-    for _ in range(k - 1):
-        seqs = [s + [c] for s in seqs for c in (1, 2, 3) if c != s[-1]]
-    return [tuple(s) for s in seqs]
-
-
-def config_graph(k: int, chords) -> Graph:
-    edges = [(i, i + 1) for i in range(k - 1)]
-    edges.extend((i - 1, j - 1) for i, j in chords)
-    return Graph(k, edges)
-
-
-def brute_configs(forbidden_graphs: list[Graph], k: int) -> list[tuple[tuple[int, ...], tuple]]:
-    """Every admissible pattern-free configuration of length exactly k, as
-    (colors, chords) with 1-based chords in increasing (i, j) order."""
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 2, k + 1)]
-    out = []
-    for cs in config_color_seqs(k):
-        ok_pairs = [p for p in pairs if chord_ok(cs, *p)]
-        for mask in range(1 << len(ok_pairs)):
-            chosen = tuple(ok_pairs[t] for t in range(len(ok_pairs)) if mask >> t & 1)
-            g = config_graph(k, chosen)
-            if not any(contains_induced_brute(g, h) for h in forbidden_graphs):
-                out.append((cs, chosen))
-    return out
-
-
-def dfs_stream_uncached(forbidden_graphs: list[Graph], max_n: int) -> str:
+def dfs_stream_uncached(max_n: int, has_copy: Callable[[list[int]], bool]) -> str:
     """The emission stream of every admissible pattern-free configuration of
     length 1..``max_n``, grown depth first over all three colors.
 
-    Each candidate is checked with ``PatternSearch.through`` at its new
-    vertex, with no witnesses and no 2<->3 symmetry, so it checks the
-    propagation search's bookkeeping rather than the pattern search.
+    ``has_copy(rows)`` says whether the configuration graph with these
+    adjacency rows holds a forbidden copy through its newest vertex.  Each
+    candidate is checked with it alone, with no witnesses and no 2<->3
+    symmetry.  Checking only the newest vertex is exact: chord admissibility
+    and pattern-freeness both hold for every prefix of an accepted
+    configuration, so a copy that misses the newest vertex was already
+    refused at a shorter length.
     """
-    from tricrit.graphs import PatternSearch
-
-    searches = [PatternSearch(h) for h in forbidden_graphs]
     lines = []
-
-    def free(rows: list[int]) -> bool:
-        k = len(rows) - 1
-        return not any(s.through(rows, (2 << k) - 1, k) for s in searches)
 
     def grow(cs: tuple[int, ...], chords: tuple, rows: list[int]) -> None:
         k = len(cs)
@@ -415,10 +384,10 @@ def dfs_stream_uncached(forbidden_graphs: list[Graph], max_n: int) -> str:
                 for i in chosen:
                     new[i - 1] |= 1 << k
                     new[k] |= 1 << (i - 1)
-                if free(new):
+                if not has_copy(new):
                     grow(ext, chords + tuple((i, k + 1) for i in chosen), new)
 
-    if max_n and free([0]):
+    if max_n and not has_copy([0]):
         grow((1,), (), [0])
     return "".join(f"{k} {cs} {es}\n" for k, cs, es in sorted(lines))
 

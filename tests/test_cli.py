@@ -105,7 +105,8 @@ def test_enumerate_bad_arguments_keep_emit_file(capsys, tmp_path, bad):
 
 
 @pytest.mark.parametrize(
-    "names", [["P6"], [" P6"], ["P6", "claw"]], ids=["P6", "spaced-P6", "P6+claw"]
+    "names", [["P6"], [" P6"], ["P06"], ["P6", "claw"]],
+    ids=["P6", "spaced-P6", "P06", "P6+claw"],
 )
 def test_enumerate_checks_p6_reference(capsys, monkeypatch, names):
     # One wrong reference entry: only a lone P6 run is compared with it.

@@ -21,7 +21,6 @@ from tricrit.graphs import (
     disjoint_union,
     find_induced_embedding,
     has_induced_path,
-    has_induced_path_through,
     induced_subgraph,
     parse_graph6,
     parse_pattern,
@@ -155,9 +154,9 @@ def test_contains_induced_basics(monkeypatch):
     # A pattern larger than its host is refused before any search: no
     # match order is run and no orbit decided.
     calls = []
-    embed, walk = graphs._embed, graphs.has_induced_path_through
+    embed, walk = graphs._embed, graphs._arm
     monkeypatch.setattr(graphs, "_embed", lambda *a: calls.append(a) or embed(*a))
-    monkeypatch.setattr(graphs, "has_induced_path_through", lambda *a: calls.append(a) or walk(*a))
+    monkeypatch.setattr(graphs, "_arm", lambda *a: calls.append(a) or walk(*a))
     for h in (path_graph(100), cycle_graph(128)):
         assert not contains_induced(path_graph(3), h)
         assert find_induced_embedding(path_graph(3), h) is None
@@ -198,9 +197,10 @@ def test_path_detector_agrees_with_generic_matcher():
 
 
 def test_path_walker_agrees_with_brute_at_every_anchor():
-    # The walker's answer is the vertex mask of the path it found among
-    # ``alive``, or 0.  The rows stay whole, so only ``alive`` hides the
-    # dead vertices: the answer must be that of the live induced subgraph.
+    # The answer for P_t (the walker's for t >= 2, the matcher's for P1) is
+    # the vertex mask of the path found among ``alive``, or 0.  The rows
+    # stay whole, so only ``alive`` hides the dead vertices: the answer
+    # must be that of the live induced subgraph.
     for seed in range(100):
         n = seed % 10
         rng = random.Random(seed)
@@ -212,7 +212,7 @@ def test_path_walker_agrees_with_brute_at_every_anchor():
                 sub = induced_subgraph(g, live)
                 for t in range(1, 8):
                     p = path_graph(t)
-                    mask = has_induced_path_through(g.rows, alive, a, t)
+                    mask = PatternSearch(p).through(g.rows, alive, a)
                     want = contains_induced_through_brute(sub, p, live.index(a))
                     assert bool(mask) == want, (g, t, a, alive)
                     assert not mask or is_witness_brute(g, p, alive, a, mask), (g, t, a, alive, mask)
